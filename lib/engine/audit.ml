@@ -28,15 +28,14 @@ let tick t () =
       | None -> ())
     t.checks
 
-(* Self-rescheduling defunctionalized tick (checkpoint-safe, unlike a
-   [Sim.every] closure): the payload is the audit itself, the next tick
-   is scheduled after the checks run, mirroring [every]'s stop-aware
-   rescheduling via [Sim.stopped]. *)
+(* Self-rescheduling tick: the payload is the audit itself; the next
+   tick is scheduled after the checks run, unless the simulation was
+   stopped ([Sim.stopped]). *)
 let tick_ev =
   Event.define_rec ~name:"audit.tick" (fun self t ->
       tick t ();
       if not (Sim.stopped t.sim) then
-        Sim.after_ev t.sim (Units.Time.s t.interval) (self t))
+        Sim.after t.sim (Units.Time.s t.interval) (self t))
 
 let create ?(interval = Units.Time.s 0.1) ?(max_kept = 100) sim =
   let interval = Units.Time.to_s interval in
@@ -52,7 +51,7 @@ let create ?(interval = Units.Time.s 0.1) ?(max_kept = 100) sim =
       last_tick = Sim.now sim;
     }
   in
-  Sim.at_ev sim (Units.Time.s (Sim.now sim +. interval)) (tick_ev t);
+  Sim.at sim (Units.Time.s (Sim.now sim +. interval)) (tick_ev t);
   t
 
 let add_check t ~subject check = t.checks <- (subject, check) :: t.checks

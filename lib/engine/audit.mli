@@ -1,12 +1,13 @@
 (** Opt-in runtime invariant auditing for simulations.
 
     An [Audit.t] runs a set of registered checks on a periodic simulated
-    clock (piggybacking on {!Sim.every}), records any violations with the
-    simulation time at which they were observed, and can arm the
-    {!Sim.set_watchdog} livelock detector. It never throws: the point is to
-    surface silent corruption (NaN propagation, packet-accounting drift,
-    stalled event loops) with context instead of poisoning downstream
-    results — callers decide whether a violation is fatal.
+    clock (a self-rescheduling {!Event.define_rec} tick), records any
+    violations with the simulation time at which they were observed, and
+    can arm the {!Sim.set_watchdog} livelock detector. It never throws:
+    the point is to surface silent corruption (NaN propagation,
+    packet-accounting drift, stalled event loops) with context instead
+    of poisoning downstream results — callers decide whether a violation
+    is fatal.
 
     Typical wiring (see {!Experiments.Dumbbell}): one audit per simulation,
     a packet-conservation check per link and a sanity check per flow. *)

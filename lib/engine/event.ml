@@ -16,31 +16,17 @@
    toplevels (it is built at module init), so the mutable state an event
    touches necessarily lives in its payload — inside the marshaled
    object graph — and never in a hidden environment that a checkpoint
-   would silently duplicate or drop.
-
-   Events that genuinely resist this split (one-off test hooks, warmup
-   glue) use [opaque], which keeps the old closure form but brands the
-   event with its scheduling site; snapshots refuse to write while one
-   is pending, naming that site. *)
+   would silently duplicate or drop. *)
 
 type t = {
   run : Obj.t -> int -> unit;
       (* static dispatch half: shared per kind, never per event *)
-  name : string;  (* kind name, or ["opaque:<site>"] *)
+  name : string;  (* kind name, for diagnostics *)
   a : Obj.t;  (* boxed payload ([Obj.repr] of the constructor argument) *)
   i : int;  (* unboxed payload (packet id, generation counter, ...) *)
 }
 
-let opaque_prefix = "opaque:"
-
-let has_opaque_prefix name =
-  String.length name >= String.length opaque_prefix
-  && String.sub name 0 (String.length opaque_prefix) = opaque_prefix
-
-let check_name name =
-  if name = "" then invalid_arg "Event: empty kind name";
-  if has_opaque_prefix name then
-    invalid_arg ("Event: kind name may not start with \"opaque:\": " ^ name)
+let check_name name = if name = "" then invalid_arg "Event: empty kind name"
 
 (* The payload travels as [Obj.t]: [Obj.repr] on construction,
    [Obj.obj] at dispatch. The pairing is safe by construction — the only
@@ -78,21 +64,6 @@ let declare ~name =
   let mk x i = { run; name; a = Obj.repr x; i } in
   let set f = cell := (fun a i -> f (Obj.obj a) i) in
   (mk, set)
-
-let run_opaque a _i = (Obj.obj a : unit -> unit) ()
-
-let opaque ?(site = "unlabelled") f =
-  { run = run_opaque; name = opaque_prefix ^ site; a = Obj.repr f; i = 0 }
-
-let is_opaque e = has_opaque_prefix e.name
-
-let site e =
-  if is_opaque e then
-    Some
-      (String.sub e.name
-         (String.length opaque_prefix)
-         (String.length e.name - String.length opaque_prefix))
-  else None
 
 (* pertalloc assumes a call through a function-typed field allocates;
    [run] is a static per-kind closure built once at [define] time, so

@@ -16,8 +16,8 @@ val define : name:string -> ('a -> unit) -> 'a -> t
 (** [define ~name handler] registers an event kind and returns its
     constructor: [ctor payload] is an event that runs
     [handler payload] when executed. [name] identifies the kind in
-    diagnostics; it may not start with ["opaque:"].
-    @raise Invalid_argument on an empty or reserved name. *)
+    diagnostics.
+    @raise Invalid_argument on an empty name. *)
 
 val define2 : name:string -> ('a -> int -> unit) -> 'a -> int -> t
 (** [define2] is {!define} with an extra unboxed [int] payload slot —
@@ -34,16 +34,6 @@ val declare : name:string -> ('a -> int -> t) * (('a -> int -> unit) -> unit)
     constructor immediately and a [set_handler] to be called once the
     handler's dependencies exist (mutually recursive protocol code).
     Executing an event whose handler was never set fails loudly. *)
-
-val opaque : ?site:string -> (unit -> unit) -> t
-(** [opaque ~site f] wraps a residual closure event, branded with the
-    scheduling [site] for diagnostics. Snapshots refuse to write while
-    one is pending ({!Sim.Snapshot.Opaque_pending} names the site), so
-    only use this for events that cannot outlive the current [run] —
-    test hooks, setup glue — or in experiments that never checkpoint. *)
-
-val site : t -> string option
-(** The scheduling site of an {!opaque} event; [None] for defined kinds. *)
 
 val exec : t -> unit
 (** Dispatch the event to its kind's handler. *)

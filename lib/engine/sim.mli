@@ -1,7 +1,7 @@
 (** Discrete-event simulation core.
 
-    A [Sim.t] owns a virtual clock, an event heap and a root random
-    generator. Events are thunks executed in nondecreasing time order;
+    A [Sim.t] owns a virtual clock, an event queue and a root random
+    generator. Events ({!Event.t}) execute in nondecreasing time order;
     equal-time events run in scheduling order. *)
 
 type t
@@ -29,44 +29,23 @@ val fresh_id : t -> int
     process produce identical ids — a process-global counter would not
     replay. *)
 
-val at_ev : t -> Units.Time.t -> Event.t -> unit
-(** [at_ev t time ev] schedules the defunctionalized event [ev] at
-    absolute [time]. [time >= now t]. This is the checkpoint-safe
-    scheduling form: a pending {!Event.t} built by {!Event.define} is
-    plain data, so {!Snapshot.save} can write it. *)
+val at : t -> Units.Time.t -> Event.t -> unit
+(** [at t time ev] schedules the event [ev] at absolute [time].
+    [time >= now t]. A pending {!Event.t} is plain data, so
+    {!Snapshot.save} can write it. *)
 
-val after_ev : t -> Units.Time.t -> Event.t -> unit
-(** [after_ev t delay ev] schedules [ev] at [now t +. delay].
+val after : t -> Units.Time.t -> Event.t -> unit
+(** [after t delay ev] schedules [ev] at [now t +. delay].
     [delay >= 0]. *)
-
-val at : ?site:string -> t -> Units.Time.t -> (unit -> unit) -> unit
-(** [at t time f] schedules the closure [f] at absolute [time]
-    ([time >= now t]) as an {!Event.opaque} branded with [site]. Opaque
-    events cannot cross a checkpoint — {!Snapshot.save} refuses while
-    one is pending, naming [site] — so label every call and prefer
-    {!at_ev} for events that can be live when a snapshot is cut. *)
-
-val after : ?site:string -> t -> Units.Time.t -> (unit -> unit) -> unit
-(** [after t delay f] schedules [f] at [now t +. delay]. [delay >= 0].
-    Same opaque-closure caveat as {!at}. *)
-
-val every :
-  ?site:string -> t -> ?start:Units.Time.t -> Units.Time.t ->
-  (unit -> unit) -> unit
-(** [every t ?start period f] runs [f] at [start] (default [now + period])
-    and then every [period] until the simulation stops. The recurring
-    tick is an opaque closure (same caveat as {!at}); periodic work that
-    must survive a checkpoint self-reschedules via {!Event.define_rec}
-    and {!after_ev} instead, mirroring the stop semantics with
-    {!stopped}. *)
 
 val stop : t -> unit
 (** Stop the event loop after the current event returns. *)
 
 val stopped : t -> bool
-(** Whether {!stop} was called during the current/last {!run} — lets a
-    self-rescheduling {!Event.define_rec} kind mirror {!every}'s
-    stop-aware rescheduling. Reset by the next {!run}. *)
+(** Whether {!stop} was called during the current/last {!run}. A
+    periodic event — an {!Event.define_rec} kind that schedules its own
+    successor — re-arms only while this is [false], so {!stop} ends it.
+    Reset by the next {!run}. *)
 
 val set_watchdog :
   t -> max_events_per_instant:int -> (string -> unit) -> unit
@@ -132,24 +111,17 @@ val events_executed : t -> int
     — to continue byte-identically.
 
     Soundness rests on three repo invariants. (1) Every pending event is
-    defunctionalized plain data ({!Event.t}); [save] scans the queue and
-    refuses while an {!Event.opaque} closure is pending. (2) lib/ keeps
-    no module-toplevel mutable state (pertlint D3, pertscan S5), so the
-    [Marshal.Closures] payload can't capture a module global that a
-    restore would silently duplicate. (3) Code crosses only as pointers
+    defunctionalized plain data ({!Event.t}: a registered kind plus a
+    marshalable payload). (2) lib/ keeps no module-toplevel mutable
+    state (pertlint D3, pertscan S5), so the [Marshal.Closures] payload
+    can't capture a module global that a restore would silently
+    duplicate. (3) Code crosses only as pointers
     into the identical binary, enforced by the build-digest header.
     Extensible-variant values ([Queue_disc.internals], [Cc.engine])
     additionally need rehydration after [load] — extension constructors
     match by physical slot identity, which Marshal cannot preserve — see
     [Schemes.rehydrate] at the experiments layer. *)
 module Snapshot : sig
-  exception Opaque_pending of { site : string; time : float; count : int }
-  (** Raised by {!save} when closure events are pending: [site] is the
-      scheduling site of the first one found ([~site] label of
-      [Sim.at]/[after]/[every]), [time] its due time, [count] how many
-      are pending in total. The simulation is untouched and no file is
-      written. *)
-
   exception Incompatible of string
   (** Raised by {!load} when the file is not a snapshot, was written by
       a different build of the binary, or fails its checksum. *)
@@ -161,8 +133,7 @@ module Snapshot : sig
       temp+rename convention, and returns the byte size written. The
       header carries a build digest and a payload checksum; sharing
       between [world] and the event queue is preserved (one Marshal
-      call covers both).
-      @raise Opaque_pending when a closure event is pending. *)
+      call covers both). *)
 
   val load : path:string -> t * 'w
   (** [load ~path] verifies the header and returns the simulation and

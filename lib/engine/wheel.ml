@@ -496,18 +496,6 @@ let pop t =
 
 let peek_time t = if t.size = 0 then None else Some (min_time_exn t)
 
-(* Unordered: walks the live bucket chains only. Free-list nodes must
-   not be visited — their time/payload planes hold scrubbed garbage. *)
-let iter t f =
-  for b = 0 to t.nbuckets - 1 do
-    let cur = ref t.buckets.(b) in
-    while !cur >= 0 do
-      let n = !cur in
-      f t.times.(n) t.data.(n);
-      cur := t.next.(n)
-    done
-  done
-
 let clear t =
   let cap = Array.length t.times in
   if t.size > 0 then Array.fill t.data 0 cap (dummy ());

@@ -46,11 +46,6 @@ val pop_min_into : 'a t -> floatarray -> 'a
     array, payload returned, zero allocations, one call.
     @raise Empty if the queue is empty. *)
 
-val iter : 'a t -> (float -> 'a -> unit) -> unit
-(** [iter t f] calls [f time payload] on every pending element, in
-    unspecified order. Cold-path introspection ({!Sim.Snapshot}'s
-    pre-write scan); must not add or remove elements. *)
-
 val peek_time : 'a t -> float option
 (** Time of the minimum element without removing it.
 

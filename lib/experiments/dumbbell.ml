@@ -327,7 +327,7 @@ let ckpt_tick_ev =
   Sim_engine.Event.define_rec ~name:"dumbbell.checkpoint" (fun self ck ->
       let sim = T.sim ck.ck_world.w_built.topo in
       if not (Sim.stopped sim) then
-        Sim.after_ev sim (Units.Time.s ck.ck_period) (self ck);
+        Sim.after sim (Units.Time.s ck.ck_period) (self ck);
       let events = Sim.events_executed sim in
       let wall = (Unix.gettimeofday () [@lint.allow "D2"]) in
       if
@@ -362,17 +362,16 @@ let install_ckpt_tick (ckpt : Runner.checkpoint) world =
       ck_last_wall = (Unix.gettimeofday () [@lint.allow "D2"]);
     }
   in
-  Sim.after_ev sim (Units.Time.s period) (ckpt_tick_ev ck)
+  Sim.after sim (Units.Time.s period) (ckpt_tick_ev ck)
 
 (* Post-restore repair of every extension-constructor value in the world
    (they do not survive Marshal — see {!Schemes.rehydrate_disc}): the
    queue discipline of every link, and every long-lived flow's
    congestion-control engine. Web-session flows are reachable only
-   through node agents and are not walked — their controllers keep
-   working (the closures captured the engine directly), only their
-   [engine_of] introspection would fail, and scenarios with live web
-   traffic cannot be snapshotted in the first place (opaque think
-   timers). *)
+   through node agents and their think timers, and are not walked:
+   their controllers keep working (the closures captured the engine
+   directly), only their [engine_of] introspection would fail, and
+   nothing introspects a web flow. *)
 let rehydrate_world world =
   let built = world.w_built in
   List.iter

@@ -1,4 +1,5 @@
 module Sim = Sim_engine.Sim
+module Event = Sim_engine.Event
 module Flow = Tcpstack.Flow
 
 type config = {
@@ -33,6 +34,84 @@ let scheme_key ~experiment ?point config =
     ~extra:(Digest.to_hex (Digest.string (Marshal.to_string config [])))
     ()
 
+(* The staircase's scheduled state: cohorts of flows that join and
+   leave at epoch boundaries. Join and leave events carry the cohort
+   index in their int slot. *)
+type staircase = {
+  built : Dumbbell.built;
+  ecn : bool;
+  cohorts : Flow.t array array;
+  endpoints : (Netsim.Node.t * Netsim.Node.t) array array;
+      (* [endpoints.(k - 1)]: cohort [k]'s (src, dst) hosts *)
+}
+
+let join_ev =
+  Event.define2 ~name:"dynamic.join" (fun st k ->
+      st.cohorts.(k) <-
+        Array.map
+          (fun (src, dst) ->
+            Flow.create st.built.Dumbbell.topo ~src ~dst
+              ~cc:(st.built.Dumbbell.cc_factory ())
+              ~ecn:st.ecn ())
+          st.endpoints.(k - 1))
+
+let leave_ev =
+  Event.define2 ~name:"dynamic.leave" (fun st k ->
+      Array.iter Flow.stop st.cohorts.(k))
+
+(* Goodput binning: each row of a series counts the bits delivered to
+   one receiver group, read as a cumulative counter at every bin
+   boundary and differenced. A cohort is read through the staircase,
+   because joining replaces its flows. *)
+type counter =
+  | Cohort of staircase * int
+  | Flows of Flow.t array
+  | Cbr of Traffic.Cbr.t
+
+let acked_bits flows =
+  Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 flows
+  * 8 * Netsim.Packet.mss
+
+let bits = function
+  | Cohort (st, k) -> acked_bits st.cohorts.(k)
+  | Flows flows -> acked_bits flows
+  | Cbr cbr -> Traffic.Cbr.received cbr * 8 * Netsim.Packet.data_size
+
+type bins = {
+  sim : Sim.t;
+  width : float;
+  nbins : int;
+  counters : counter array;
+  last : int array;
+  series : float array array;  (* row per counter, column per bin *)
+  mutable idx : int;
+}
+
+(* One bin boundary every [width] seconds, re-armed until the simulation
+   stops. *)
+let bin_ev =
+  Event.define_rec ~name:"dynamic.bin" (fun self b ->
+      if b.idx < b.nbins then begin
+        Array.iteri
+          (fun r c ->
+            let now = bits c in
+            b.series.(r).(b.idx) <- float_of_int (now - b.last.(r)) /. b.width;
+            b.last.(r) <- now)
+          b.counters;
+        b.idx <- b.idx + 1
+      end;
+      if not (Sim.stopped b.sim) then
+        Sim.after b.sim (Units.Time.s b.width) (self b))
+
+(* Arms the binning from [width] on and returns its series. *)
+let start_bins sim ~width ~nbins counters =
+  let rows = Array.length counters in
+  let series = Array.make_matrix rows nbins 0.0 in
+  let last = Array.make rows 0 in
+  Sim.at sim (Units.Time.s width)
+    (bin_ev { sim; width; nbins; counters; last; series; idx = 0 });
+  series
+
 let run ?max_events ?max_wall config =
   (* Total timeline: cohorts join at 0, e, 2e, ... then leave in arrival
      order at n*e, (n+1)*e, ...; simulation ends when one cohort is left
@@ -58,19 +137,15 @@ let run ?max_events ?max_wall config =
   (match (max_events, max_wall) with
   | None, None -> ()
   | _ -> Sim.set_budget sim ?max_events ?max_wall ());
-  let r1, r2 = built.Dumbbell.routers in
-  ignore r2;
   let total_epochs = (2 * config.n_cohorts) - 1 in
   let horizon = float_of_int total_epochs *. config.epoch in
   let nbins = Units.Round.ceil (horizon /. config.bin) in
   let times = Array.init nbins (fun i -> float_of_int (i + 1) *. config.bin) in
-  let series = Array.make_matrix config.n_cohorts nbins 0.0 in
   (* Cohort 0 is the flows Dumbbell.build created; later cohorts attach
      fresh hosts at join time (hosts are created up front so routes exist). *)
   let cohorts = Array.make config.n_cohorts [||] in
   cohorts.(0) <- Array.of_list built.Dumbbell.forward_flows;
-  ignore r1;
-  let extra_endpoints =
+  let endpoints =
     Array.init (config.n_cohorts - 1) (fun _ ->
         Array.init config.cohort_size (fun _ ->
             let attach router =
@@ -88,44 +163,22 @@ let run ?max_events ?max_wall config =
             (attach r1, attach r2)))
   in
   Netsim.Topology.compute_routes built.Dumbbell.topo;
-  (* Join events. *)
+  let st =
+    { built; ecn = Schemes.uses_ecn config.scheme; cohorts; endpoints }
+  in
   for k = 1 to config.n_cohorts - 1 do
-    let join_at = Units.Time.s (float_of_int k *. config.epoch) in
-    Sim.at ~site:"Dynamic.join" sim join_at (fun () ->
-        cohorts.(k) <-
-          Array.map
-            (fun (src, dst) ->
-              Flow.create built.Dumbbell.topo ~src ~dst
-                ~cc:(built.Dumbbell.cc_factory ())
-                ~ecn:(Schemes.uses_ecn config.scheme)
-                ())
-            extra_endpoints.(k - 1))
+    Sim.at sim (Units.Time.s (float_of_int k *. config.epoch)) (join_ev st k)
   done;
-  (* Departure events: cohorts leave in arrival order. *)
+  (* Departures: cohorts leave in arrival order. *)
   for k = 0 to config.n_cohorts - 2 do
-    let leave_at =
-      Units.Time.s (float_of_int (config.n_cohorts + k) *. config.epoch)
-    in
-    Sim.at ~site:"Dynamic.leave" sim leave_at (fun () -> Array.iter Flow.stop cohorts.(k))
+    Sim.at sim
+      (Units.Time.s (float_of_int (config.n_cohorts + k) *. config.epoch))
+      (leave_ev st k)
   done;
-  (* Binned accounting via acked-packet deltas. *)
-  let last_acked = Array.make config.n_cohorts 0 in
-  let bin_idx = ref 0 in
-  Sim.every ~site:"Dynamic.bin" sim ~start:(Units.Time.s config.bin)
-    (Units.Time.s config.bin)
-    (fun () ->
-      if !bin_idx < nbins then begin
-        for k = 0 to config.n_cohorts - 1 do
-          let acked =
-            Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 cohorts.(k)
-          in
-          let delta = acked - last_acked.(k) in
-          last_acked.(k) <- acked;
-          series.(k).(!bin_idx) <-
-            float_of_int (delta * 8 * Netsim.Packet.mss) /. config.bin
-        done;
-        incr bin_idx
-      end);
+  let series =
+    start_bins sim ~width:config.bin ~nbins
+      (Array.init config.n_cohorts (fun k -> Cohort (st, k)))
+  in
   Sim.run ~until:(Units.Time.s horizon) sim;
   (times, series)
 
@@ -135,8 +188,9 @@ let fig12 ?(ctx = Runner.default) scale =
   let cells =
     Runner.map ctx
       ~key:(fun scheme -> scheme_key ~experiment:"fig12" (default scale scheme))
-      (* Cohort join/leave events are closure-scheduled (labelled opaque
-         sites), so these cells never honour a live checkpoint. *)
+      (* [run] builds its own scenario and takes no checkpoint policy,
+         so these cells never honour a live checkpoint, although every
+         event they schedule could be saved. *)
       (fun ~ckpt:_ scheme ->
         run ?max_events:ctx.Runner.max_events ?max_wall:ctx.Runner.deadline
           (default scale scheme))
@@ -198,8 +252,6 @@ let run_cbr ?max_events ?max_wall config ~cbr_share =
   let horizon = 3.0 *. config.epoch in
   let nbins = Units.Round.ceil (horizon /. config.bin) in
   let times = Array.init nbins (fun i -> float_of_int (i + 1) *. config.bin) in
-  let tcp_series = Array.make nbins 0.0 in
-  let cbr_series = Array.make nbins 0.0 in
   let r1, r2 = built.Dumbbell.routers in
   (* CBR endpoints on their own access links. *)
   let attach router =
@@ -220,26 +272,12 @@ let run_cbr ?max_events ?max_wall config ~cbr_share =
       ~start:(Units.Time.s config.epoch)
       ~stop:(Units.Time.s (2.0 *. config.epoch)) ()
   in
-  let flows = Array.of_list built.Dumbbell.forward_flows in
-  let last_tcp = ref 0 and last_cbr = ref 0 in
-  let bin_idx = ref 0 in
-  Sim.every ~site:"Dynamic.bin" sim ~start:(Units.Time.s config.bin)
-    (Units.Time.s config.bin)
-    (fun () ->
-      if !bin_idx < nbins then begin
-        let tcp = Array.fold_left (fun a f -> a + Flow.acked_pkts f) 0 flows in
-        let got = Traffic.Cbr.received cbr in
-        tcp_series.(!bin_idx) <-
-          float_of_int ((tcp - !last_tcp) * 8 * Netsim.Packet.mss) /. config.bin;
-        cbr_series.(!bin_idx) <-
-          float_of_int ((got - !last_cbr) * 8 * Netsim.Packet.data_size)
-          /. config.bin;
-        last_tcp := tcp;
-        last_cbr := got;
-        incr bin_idx
-      end);
+  let series =
+    start_bins sim ~width:config.bin ~nbins
+      [| Flows (Array.of_list built.Dumbbell.forward_flows); Cbr cbr |]
+  in
   Sim.run ~until:(Units.Time.s horizon) sim;
-  (times, tcp_series, cbr_series)
+  (times, series.(0), series.(1))
 
 let dynamic_cbr ?(ctx = Runner.default) scale =
   let cbr_share = 0.5 in

@@ -126,13 +126,13 @@ let () =
       | Flapping { mean_up; mean_down } ->
           if phase = 0 then begin
             go_down t;
-            Sim.after_ev t.sim
+            Sim.after t.sim
               (Time.s (Rng.exponential t.outage_rng (Time.to_s mean_down)))
               (flap_kind t 1)
           end
           else begin
             go_up t;
-            Sim.after_ev t.sim
+            Sim.after t.sim
               (Time.s (Rng.exponential t.outage_rng (Time.to_s mean_up)))
               (flap_kind t 0)
           end
@@ -144,11 +144,11 @@ let schedule_outages t =
   | Scheduled windows ->
       List.iter
         (fun (down_at, up_at) ->
-          Sim.at_ev t.sim down_at (down_kind t);
-          Sim.at_ev t.sim up_at (up_kind t))
+          Sim.at t.sim down_at (down_kind t);
+          Sim.at t.sim up_at (up_kind t))
         windows
   | Flapping { mean_up; mean_down = _ } ->
-      Sim.after_ev t.sim
+      Sim.after t.sim
         (Time.s (Rng.exponential t.outage_rng (Time.to_s mean_up)))
         (flap_kind t 0)
 
@@ -209,7 +209,7 @@ let impair t pkt =
        consumes (and may free) its packet, so the copy must come first. *)
     let dup_pkt = if dup then Packet.copy a pkt else Packet.none in
     if !extra > 0.0 then
-      Sim.after_ev t.sim (Time.s !extra) (reinject_kind t ((pkt :> int)))
+      Sim.after t.sim (Time.s !extra) (reinject_kind t ((pkt :> int)))
     else inner pkt;
     (* The duplicate takes the direct path even when the original was
        delayed — that itself is a reordering, as on real networks. *)
@@ -446,20 +446,20 @@ let inject_acks t =
 let rst_storm_kind =
   Event.define_rec ~name:"fault.rst-storm" (fun self t ->
       inject_rst t;
-      Sim.after_ev t.a_sim
+      Sim.after t.a_sim
         (Time.s (Rng.exponential t.a_rng (1.0 /. t.adv.rst_rate)))
         (self t))
 
 let ack_storm_kind =
   Event.define_rec ~name:"fault.ack-storm" (fun self t ->
       inject_acks t;
-      Sim.after_ev t.a_sim
+      Sim.after t.a_sim
         (Time.s (Rng.exponential t.a_rng (1.0 /. t.adv.ack_rate)))
         (self t))
 
 let schedule_storm t ~rate kind =
   if rate > 0.0 then
-    Sim.after_ev t.a_sim
+    Sim.after t.a_sim
       (Time.s (Rng.exponential t.a_rng (1.0 /. rate)))
       (kind t)
 

@@ -172,7 +172,7 @@ and materialize_one t ~start ~charge =
   (* The delivery event must carry this packet — one event record per
      packet is the irreducible cost of parallel propagation, the same
      cost the eager path's [tx_complete] pays. *)
-  Sim.at_ev t.sim
+  Sim.at t.sim
     (Time.s (finish +. Time.to_s t.delay +. extra))
     (deliver_ev t (pkt :> int) [@lint.allow "A1"]);
   (* The tx-complete event this materialization replaced, kept in the
@@ -202,7 +202,7 @@ and arm_anchor t =
     let a = next_start t +. Time.to_s t.delay in
     if a < anchor_next t then begin
       set_anchor_next t a;
-      Sim.at_ev t.sim (Time.s a) t.anchor_ev
+      Sim.at t.sim (Time.s a) t.anchor_ev
     end
   end
   else t.busy <- sched_free t > Sim.now t.sim
@@ -237,7 +237,7 @@ let[@alloc.zero] start_transmission t =
             t.bandwidth
         in
         t.tx_pkt <- pkt;
-        Sim.after_ev t.sim tx_time t.tx_done
+        Sim.after t.sim tx_time t.tx_done
 
 (* Runs when the head packet finishes serialising onto the wire.
    Propagation proceeds in parallel with the next transmission;
@@ -254,14 +254,21 @@ let[@alloc.zero] tx_complete t =
      on to the next one — one event record per packet is the irreducible
      cost of parallel propagation (it was two per packet before
      [tx_done]). *)
-  Sim.after_ev t.sim (Time.add t.delay extra)
+  Sim.after t.sim (Time.add t.delay extra)
     (deliver_ev t ((pkt :> int)) [@lint.allow "A1"]);
   start_transmission t
 
 (* Preallocated event kinds for the per-link singleton events: built
-   once per link at create, rescheduled forever after. *)
+   once per link at create, rescheduled forever after. [unwired] fills
+   both slots while [create] builds the record the real events carry;
+   it is replaced before the link is returned and never scheduled. *)
 let tx_kind = Event.define ~name:"link.tx" tx_complete
 let anchor_kind = Event.define ~name:"link.anchor" anchor_tick
+
+let unwired =
+  Event.define ~name:"link.unwired"
+    (fun () -> invalid_arg "Link: unwired event")
+    ()
 
 (* --- arrivals ----------------------------------------------------------- *)
 
@@ -336,10 +343,8 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
       busy = false;
       up = true;
       tx_pkt = Packet.none;
-      (* placeholders: replaced with this link's preallocated events
-         below, never scheduled *)
-      tx_done = Event.opaque ~site:"Link.create" ignore;
-      anchor_ev = Event.opaque ~site:"Link.create" ignore;
+      tx_done = unwired;
+      anchor_ev = unwired;
       bs;
       life_arrivals = 0;
       life_drops = 0;
@@ -438,9 +443,9 @@ let drop_times t =
   | Some v -> Fvec.to_array v
   | None -> invalid_arg "Link.drop_times: tracing not enabled"
 
-(* Self-rescheduling sample tick, checkpoint-safe (stop-aware like
-   [Sim.every]): reads the trace vectors back out of the link so the
-   payload stays plain data. *)
+(* Self-rescheduling sample tick, re-armed until the simulation stops:
+   reads the trace vectors back out of the link so the payload stays
+   plain data. *)
 let queue_trace_kind =
   Event.define_rec ~name:"link.queue-trace" (fun self qt ->
       let t = qt.qt_link in
@@ -451,14 +456,14 @@ let queue_trace_kind =
           Fvec.push lengths (float_of_int (t.disc.Queue_disc.pkt_length ()))
       | None -> ());
       if not (Sim.stopped t.sim) then
-        Sim.after_ev t.sim qt.qt_interval (self qt))
+        Sim.after t.sim qt.qt_interval (self qt))
 
 let enable_queue_trace t ?(interval = Time.s 0.01) () =
   match t.queue_trace with
   | Some _ -> ()
   | None ->
       t.queue_trace <- Some (Fvec.create (), Fvec.create ());
-      Sim.at_ev t.sim
+      Sim.at t.sim
         (Time.s (Sim.now t.sim))
         (queue_trace_kind { qt_link = t; qt_interval = interval })
 

@@ -264,7 +264,7 @@ let persist_ev, set_persist_ev = Event.declare ~name:"flow.persist"
 let rec restart_timer t =
   t.timer_gen <- t.timer_gen + 1;
   let gen = t.timer_gen in
-  Sim.after_ev t.sim (Rto.value t.rto) (rto_ev t gen)
+  Sim.after t.sim (Rto.value t.rto) (rto_ev t gen)
 
 and cancel_timer t = t.timer_gen <- t.timer_gen + 1
 
@@ -357,7 +357,7 @@ and schedule_probe t =
       (Units.Time.to_s (Rto.value t.rto)
       *. (2.0 ** float_of_int t.persist_backoff))
   in
-  Sim.after_ev t.sim (Units.Time.s interval) (persist_ev t gen)
+  Sim.after t.sim (Units.Time.s interval) (persist_ev t gen)
 
 and send_probe t =
   t.persist_probes <- t.persist_probes + 1;
@@ -687,7 +687,7 @@ let on_data t ~seq ~marked ~stamp =
     end
     else begin
       t.delack_gen <- t.delack_gen + 1;
-      Sim.after_ev t.sim (Units.Time.s 0.1)
+      Sim.after t.sim (Units.Time.s 0.1)
         (delack_ev
            { d_t = t; d_seq = seq; d_marked = marked; d_stamp = stamp }
            t.delack_gen)
@@ -902,7 +902,7 @@ let create topo ~src ~dst ~cc ?(ecn = false) ?total_pkts ?start
   let start_time =
     match start with Some s -> s | None -> Units.Time.s (Sim.now sim)
   in
-  Sim.at_ev sim start_time (start_ev t);
+  Sim.at sim start_time (start_ev t);
   t
 
 let stop t =

@@ -31,7 +31,7 @@ let emit_ev =
         in
         t.sent <- t.sent + 1;
         Node.receive t.src pkt;
-        Sim.after_ev t.sim (Units.Time.s t.interval) (self t)
+        Sim.after t.sim (Units.Time.s t.interval) (self t)
       end)
 
 let start topo ~src ~dst ~rate ?start ?stop () =
@@ -56,7 +56,7 @@ let start topo ~src ~dst ~rate ?start ?stop () =
   let start_time =
     match start with Some s -> s | None -> Units.Time.s (Sim.now sim)
   in
-  Sim.at_ev sim start_time (emit_ev t);
+  Sim.at sim start_time (emit_ev t);
   t
 
 let sent t = t.sent

@@ -4,18 +4,16 @@
    armed [max_events] budget keeps counting across a restore instead of
    restarting from zero (the crash-recovery accounting regression); the
    wall budget's 256-event sampling does not trip spuriously after the
-   restore-time rebase; pending closure events are rejected with a
-   diagnostic naming their scheduling site; foreign and corrupt snapshot
-   files are refused.
+   restore-time rebase; foreign and corrupt snapshot files are refused.
 
    Scenario level, the cut-point invariance oracle: interrupt a real
    dumbbell run at a *random* event count (via the event budget, which
    raises before popping, so the simulation is consistent), snapshot it,
    restore in-process, rehydrate, finish — the canonical rendering of
    the result must be byte-identical to the uninterrupted run's, under
-   both schedulers and for both a faults-style lossy PERT scenario and a
-   fig6-style PERT+ECN/RED one (the latter exercises both extension-
-   constructor rehydration paths). *)
+   both schedulers, for a faults-style lossy PERT scenario, a fig6-style
+   PERT+ECN/RED one (which exercises both extension-constructor
+   rehydration paths) and a PERT mix with web sessions. *)
 
 module Sim = Sim_engine.Sim
 module Event = Sim_engine.Event
@@ -37,7 +35,7 @@ type counter = { mutable count : int }
 let tick_ev =
   Event.define_rec ~name:"test.ckpt-tick" (fun self (sim, c) ->
       c.count <- c.count + 1;
-      Sim.after_ev sim (Units.Time.s 0.001) (self (sim, c)))
+      Sim.after sim (Units.Time.s 0.001) (self (sim, c)))
 
 let save_ev =
   Event.define ~name:"test.ckpt-save" (fun (sim, c, path) ->
@@ -51,8 +49,8 @@ let save_ev =
 let budget_continues_across_restore () =
   let path = temp_snap () in
   let arm sim c =
-    Sim.at_ev sim (Units.Time.s 0.0) (tick_ev (sim, c));
-    Sim.at_ev sim (Units.Time.s 0.4) (save_ev (sim, c, path));
+    Sim.at sim (Units.Time.s 0.0) (tick_ev (sim, c));
+    Sim.at sim (Units.Time.s 0.4) (save_ev (sim, c, path));
     Sim.set_budget sim ~max_events:1000 ()
   in
   let straight_events, straight_count =
@@ -101,8 +99,8 @@ let wall_budget_no_skew_at_resume () =
   let path = temp_snap () in
   let sim = Sim.create ~seed:3 ~scheduler:`Heap () in
   let c = { count = 0 } in
-  Sim.at_ev sim (Units.Time.s 0.0) (tick_ev (sim, c));
-  Sim.at_ev sim (Units.Time.s 0.25) (save_ev (sim, c, path));
+  Sim.at sim (Units.Time.s 0.0) (tick_ev (sim, c));
+  Sim.at sim (Units.Time.s 0.25) (save_ev (sim, c, path));
   Sim.set_budget sim ~max_events:1_000_000 ~max_wall:(Units.Time.s 3600.0) ();
   Sim.run ~until:(Units.Time.s 0.5) sim;
   let sim2, (c2 : counter) = Sim.Snapshot.load ~path in
@@ -114,20 +112,6 @@ let wall_budget_no_skew_at_resume () =
         exhausted);
   Alcotest.(check int) "resumed run reaches the straight run's state" c.count
     c2.count
-
-let opaque_pending_names_site () =
-  let sim = Sim.create ~seed:1 ~scheduler:`Wheel () in
-  Sim.at_ev sim (Units.Time.s 0.0)
-    (Event.define ~name:"test.noop" (fun () -> ()) ());
-  Sim.at ~site:"Test.opaque" sim (Units.Time.s 1.0) (fun () -> ());
-  let path = temp_snap () in
-  (match Sim.Snapshot.save sim ~world:() ~path with
-  | _ -> Alcotest.fail "expected Opaque_pending"
-  | exception Sim.Snapshot.Opaque_pending { site; count; _ } ->
-      Alcotest.(check string) "diagnostic names the scheduling site"
-        "Test.opaque" site;
-      Alcotest.(check int) "counts the pending closures" 1 count);
-  Alcotest.(check bool) "no file written" false (Sys.file_exists path)
 
 let rejects_foreign_and_corrupt () =
   let path = temp_snap () in
@@ -141,7 +125,7 @@ let rejects_foreign_and_corrupt () =
   (* A real snapshot with a flipped payload byte must fail its checksum. *)
   let sim = Sim.create ~seed:9 ~scheduler:`Wheel () in
   let c = { count = 0 } in
-  Sim.at_ev sim (Units.Time.s 0.0) (tick_ev (sim, c));
+  Sim.at sim (Units.Time.s 0.0) (tick_ev (sim, c));
   Sim.run ~until:(Units.Time.s 0.05) sim;
   ignore (Sim.Snapshot.save sim ~world:c ~path);
   let ic = open_in_bin path in
@@ -230,6 +214,22 @@ let fig6_like scheduler =
     }
     ~n:4
 
+(* Web sessions: every think timer pending at the cut carries its
+   session (rng, node pools, controller factory) as payload. *)
+let web_like scheduler =
+  D.uniform_flows
+    {
+      D.default with
+      D.scheme = Schemes.Pert;
+      bandwidth = 10e6;
+      web_sessions = 40;
+      duration = 8.0;
+      warmup = 2.0;
+      seed = 42;
+      scheduler;
+    }
+    ~n:2
+
 let straight config = render (finish { built = D.build config; warm = false })
 
 (* The straight reference depends only on the config, not the cut; cache
@@ -279,9 +279,6 @@ let suite =
     ( "wall budget sampling does not skew at resume",
       `Quick,
       wall_budget_no_skew_at_resume );
-    ( "snapshot with pending closure event names its site",
-      `Quick,
-      opaque_pending_names_site );
     ( "foreign and corrupt snapshots are refused",
       `Quick,
       rejects_foreign_and_corrupt );
@@ -290,4 +287,5 @@ let suite =
       [
         cut_invariance "faults-lossy" faults_like;
         cut_invariance "fig6-pert-ecn" fig6_like;
+        cut_invariance "web-sessions" web_like;
       ]

@@ -7,6 +7,7 @@ let check_float_eps eps = Alcotest.(check (float eps))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ts = Units.Time.s
+let thunk = Test_support.thunk
 
 (* --- Heap ---------------------------------------------------------------- *)
 
@@ -359,9 +360,9 @@ let wheel_heap_equiv_qcheck =
 let sim_event_order () =
   let sim = Sim.create () in
   let log = ref [] in
-  Sim.at sim (ts 2.0) (fun () -> log := (2, Sim.now sim) :: !log);
-  Sim.at sim (ts 1.0) (fun () -> log := (1, Sim.now sim) :: !log);
-  Sim.after sim (ts 3.0) (fun () -> log := (3, Sim.now sim) :: !log);
+  Sim.at sim (ts 2.0) (thunk (fun () -> log := (2, Sim.now sim) :: !log));
+  Sim.at sim (ts 1.0) (thunk (fun () -> log := (1, Sim.now sim) :: !log));
+  Sim.after sim (ts 3.0) (thunk (fun () -> log := (3, Sim.now sim) :: !log));
   Sim.run sim;
   let order = List.rev_map fst !log in
   Alcotest.(check (list int)) "order" [ 1; 2; 3 ] order;
@@ -370,7 +371,7 @@ let sim_event_order () =
 let sim_until_semantics () =
   let sim = Sim.create () in
   let fired = ref false in
-  Sim.at sim (ts 5.0) (fun () -> fired := true);
+  Sim.at sim (ts 5.0) (thunk (fun () -> fired := true));
   Sim.run ~until:(ts 2.0) sim;
   check_bool "future event not fired" false !fired;
   check_float "clock advanced to horizon" 2.0 (Sim.now sim);
@@ -383,47 +384,43 @@ let sim_nested_scheduling () =
   let rec tick n =
     if n > 0 then begin
       incr hits;
-      Sim.after sim (ts 1.0) (fun () -> tick (n - 1))
+      Sim.after sim (ts 1.0) (thunk (fun () -> tick (n - 1)))
     end
   in
-  Sim.at sim (ts 0.0) (fun () -> tick 5);
+  Sim.at sim (ts 0.0) (thunk (fun () -> tick 5));
   Sim.run sim;
   check_int "nested events all ran" 5 !hits;
   (* the 5th tick at t=4 schedules a no-op tick at t=5 *)
   check_float "clock" 5.0 (Sim.now sim)
 
+(* A periodic event re-arms only while the simulation is not stopped
+   ([Sim.stopped]), so [Sim.stop] ends it for good. *)
 let sim_every_and_stop () =
   let sim = Sim.create () in
   let ticks = ref 0 in
-  Sim.every sim (ts 1.0) (fun () ->
+  Test_support.ticker sim ~start:(ts 1.0) (ts 1.0) (fun () ->
       incr ticks;
       if !ticks = 4 then Sim.stop sim);
   Sim.run ~until:(ts 100.0) sim;
-  check_int "stopped after 4 ticks" 4 !ticks
-
-let sim_every_start () =
-  let sim = Sim.create () in
-  let times = ref [] in
-  Sim.every sim ~start:(ts 0.5) (ts 2.0) (fun () -> times := Sim.now sim :: !times);
-  Sim.run ~until:(ts 5.0) sim;
-  Alcotest.(check (list (float 1e-9)))
-    "tick times" [ 0.5; 2.5; 4.5 ] (List.rev !times)
+  check_int "stopped after 4 ticks" 4 !ticks;
+  Sim.run ~until:(ts 100.0) sim;
+  check_int "the stopped tick did not re-arm" 4 !ticks
 
 let sim_rejects_past () =
   let sim = Sim.create () in
-  Sim.at sim (ts 1.0) (fun () ->
+  Sim.at sim (ts 1.0) (thunk (fun () ->
       Alcotest.check_raises "scheduling into the past"
         (Invalid_argument "Sim.at: time 0.5 is before now 1") (fun () ->
-          Sim.at sim (ts 0.5) ignore));
+          Sim.at sim (ts 0.5) (thunk ignore))));
   Sim.run sim;
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Sim.after: negative delay") (fun () ->
-      Sim.after sim (ts (-1.0)) ignore)
+      Sim.after sim (ts (-1.0)) (thunk ignore))
 
 let sim_counts_events () =
   let sim = Sim.create () in
   for i = 1 to 7 do
-    Sim.at sim (ts (float_of_int i)) ignore
+    Sim.at sim (ts (float_of_int i)) (thunk ignore)
   done;
   Sim.run sim;
   check_int "events executed" 7 (Sim.events_executed sim)
@@ -610,10 +607,10 @@ let heap_reuse_after_clear () =
 let sim_stop_is_resumable () =
   let sim = Sim.create () in
   let ran = ref 0 in
-  Sim.at sim (ts 1.0) (fun () ->
+  Sim.at sim (ts 1.0) (thunk (fun () ->
       incr ran;
-      Sim.stop sim);
-  Sim.at sim (ts 2.0) (fun () -> incr ran);
+      Sim.stop sim));
+  Sim.at sim (ts 2.0) (thunk (fun () -> incr ran));
   Sim.run sim;
   check_int "stopped after first" 1 !ran;
   Sim.run sim;
@@ -717,17 +714,17 @@ let sim_watchdog_semantics () =
   let n = ref 0 in
   let rec spin () =
     incr n;
-    if !n < 25 then Sim.after sim (ts 0.0) spin
+    if !n < 25 then Sim.after sim (ts 0.0) (thunk spin)
   in
-  Sim.at sim (ts 1.0) spin;
-  Sim.at sim (ts 2.0) ignore;
+  Sim.at sim (ts 1.0) (thunk spin);
+  Sim.at sim (ts 2.0) (thunk ignore);
   Sim.run sim;
   check_int "one trip per stuck instant" 1 !trips;
   check_int "all events still ran" 25 !n;
   (* once cleared, the same burst goes unreported *)
   Sim.clear_watchdog sim;
   n := 0;
-  Sim.at sim (ts 3.0) spin;
+  Sim.at sim (ts 3.0) (thunk spin);
   Sim.run sim;
   check_int "no trip after clear" 1 !trips
 
@@ -738,9 +735,9 @@ let audit_watchdog_stops_livelock () =
   let spins = ref 0 in
   let rec spin () =
     incr spins;
-    Sim.after sim (ts 0.0) spin
+    Sim.after sim (ts 0.0) (thunk spin)
   in
-  Sim.at sim (ts 0.25) spin;
+  Sim.at sim (ts 0.25) (thunk spin);
   Sim.run ~until:(ts 10.0) sim;
   check_bool "trip recorded as violation" false (Audit.ok a);
   (match Audit.violations a with
@@ -756,7 +753,7 @@ let sim_event_budget_trips_and_resumes () =
   let sim = Sim.create () in
   let ran = ref 0 in
   for i = 1 to 1000 do
-    Sim.at sim (ts (float_of_int i *. 0.001)) (fun () -> incr ran)
+    Sim.at sim (ts (float_of_int i *. 0.001)) (thunk (fun () -> incr ran))
   done;
   Sim.set_budget sim ~max_events:100 ();
   (match Sim.run sim with
@@ -779,7 +776,7 @@ let sim_wall_budget_stops_runaway () =
   let sim = Sim.create () in
   (* An unbounded microsecond ticker: without ~until this would run
      forever; only the wall budget can stop it. *)
-  Sim.every sim (ts 1e-6) ignore;
+  Test_support.ticker sim ~start:(ts 1e-6) (ts 1e-6) ignore;
   Sim.set_budget sim ~max_wall:(Units.Time.ms 5.0) ();
   match Sim.run sim with
   | () -> Alcotest.fail "expected Budget_exceeded"
@@ -820,13 +817,13 @@ let sim_scheduler_equivalence () =
     let emit tag = Printf.bprintf buf "%g %s\n" (Sim.now sim) tag in
     for i = 0 to 19 do
       let t = float_of_int (i mod 5) *. 0.5 in
-      Sim.at sim (ts t) (fun () -> emit (Printf.sprintf "e%d" i))
+      Sim.at sim (ts t) (thunk (fun () -> emit (Printf.sprintf "e%d" i)))
     done;
-    Sim.at sim (ts 0.25) (fun () ->
+    Sim.at sim (ts 0.25) (thunk (fun () ->
         emit "nest";
-        Sim.after sim (ts 0.25) (fun () -> emit "nested");
-        Sim.after sim (ts 0.0) (fun () -> emit "instant"));
-    Sim.every sim ~start:(ts 0.1) (ts 0.7) (fun () ->
+        Sim.after sim (ts 0.25) (thunk (fun () -> emit "nested"));
+        Sim.after sim (ts 0.0) (thunk (fun () -> emit "instant"))));
+    Test_support.ticker sim ~start:(ts 0.1) (ts 0.7) (fun () ->
         emit (Printf.sprintf "tick %.3f" (Rng.float (Sim.rng sim) 1.0)));
     Sim.run ~until:(ts 3.0) sim;
     Buffer.contents buf
@@ -841,7 +838,7 @@ let sim_charge_events_accounting () =
   let sim = Sim.create () in
   for i = 1 to 10 do
     (* each scheduled event stands for a batch of 1 + 9 logical events *)
-    Sim.at sim (ts (float_of_int i)) (fun () -> Sim.charge_events sim 9)
+    Sim.at sim (ts (float_of_int i)) (thunk (fun () -> Sim.charge_events sim 9))
   done;
   Sim.run sim;
   check_int "unrolled events counted" 100 (Sim.events_executed sim);
@@ -853,9 +850,9 @@ let sim_charge_events_trips_budget () =
   let sim = Sim.create () in
   let ran = ref 0 in
   for i = 1 to 10 do
-    Sim.at sim (ts (float_of_int i)) (fun () ->
+    Sim.at sim (ts (float_of_int i)) (thunk (fun () ->
         incr ran;
-        Sim.charge_events sim 9)
+        Sim.charge_events sim 9))
   done;
   Sim.set_budget sim ~max_events:35 ();
   match Sim.run sim with
@@ -898,7 +895,6 @@ let suite =
     ("sim until semantics", `Quick, sim_until_semantics);
     ("sim nested scheduling", `Quick, sim_nested_scheduling);
     ("sim every + stop", `Quick, sim_every_and_stop);
-    ("sim every start", `Quick, sim_every_start);
     ("sim rejects past/negative", `Quick, sim_rejects_past);
     ("sim counts events", `Quick, sim_counts_events);
     ("rng determinism", `Quick, rng_determinism);

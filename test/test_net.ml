@@ -9,6 +9,7 @@ let check_float = Alcotest.(check (float 1e-9))
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ts = Units.Time.s
+let thunk = Test_support.thunk
 let tf = Units.Time.to_s
 
 let mk_data ?(ecn = false) ?(seq = 0) arena =
@@ -436,7 +437,7 @@ let link_timing_exact () =
   check_bool "batched by default" true (Link.service link = Link.Batched);
   let arrival = ref 0.0 in
   Link.set_deliver link (fun _ -> arrival := Sim.now sim);
-  Sim.at sim (ts 0.0) (fun () -> Link.send link (mk_data a));
+  Sim.at sim (ts 0.0) (thunk (fun () -> Link.send link (mk_data a)));
   Sim.run sim;
   (* 1040 bytes at 1 Mbps = 8.32 ms serialisation + 10 ms propagation. *)
   check_float "delivery time" (0.00832 +. 0.01) !arrival
@@ -448,9 +449,9 @@ let link_serialises_back_to_back () =
   let arrivals = ref [] in
   Link.set_deliver link (fun p ->
       arrivals := (Packet.seq a p, Sim.now sim) :: !arrivals);
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       Link.send link (mk_data ~seq:0 a);
-      Link.send link (mk_data ~seq:1 a));
+      Link.send link (mk_data ~seq:1 a)));
   Sim.run sim;
   match List.rev !arrivals with
   | [ (0, t0); (1, t1) ] ->
@@ -462,10 +463,10 @@ let link_max_queue_watermark () =
   let a = Packet.create_arena () in
   let link = link_fixture sim a in
   Link.set_deliver link ignore;
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       for i = 0 to 9 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run sim;
   (* first packet starts transmitting immediately; nine buffered at peak *)
   check_int "high watermark" 9 (Link.max_queue_pkts link);
@@ -477,10 +478,10 @@ let link_counters_and_reset () =
   let a = Packet.create_arena () in
   let link = link_fixture ~limit:2 sim a in
   Link.set_deliver link ignore;
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       for i = 0 to 4 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run sim;
   check_int "arrivals" 5 (Link.arrivals link);
   (* limit 2: the first is transmitted immediately, two buffered, two dropped *)
@@ -497,10 +498,10 @@ let link_drop_trace () =
   let link = link_fixture ~limit:1 sim a in
   Link.set_deliver link ignore;
   Link.enable_drop_trace link;
-  Sim.at sim (ts 0.5) (fun () ->
+  Sim.at sim (ts 0.5) (thunk (fun () ->
       for i = 0 to 3 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run sim;
   let drops = Link.drop_times link in
   check_int "two drops traced" 2 (Array.length drops);
@@ -512,10 +513,10 @@ let link_queue_trace_lookup () =
   let link = link_fixture sim a in
   Link.set_deliver link ignore;
   Link.enable_queue_trace link ~interval:(ts 0.1) ();
-  Sim.at sim (ts 0.45) (fun () ->
+  Sim.at sim (ts 0.45) (thunk (fun () ->
       for i = 0 to 9 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run ~until:(ts 1.0) sim;
   check_float "queue before burst" 0.0 (Link.queue_at link (ts 0.2));
   check_bool "queue after burst" true (Link.queue_at link (ts 0.55) > 0.0)
@@ -530,10 +531,10 @@ let link_jitter_reorders () =
   in
   let order = ref [] in
   Link.set_deliver link (fun p -> order := Packet.seq a p :: !order);
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       for i = 0 to 49 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run sim;
   let arrived = List.rev !order in
   check_int "all delivered" 50 (List.length arrived);
@@ -558,10 +559,10 @@ let link_eager_matches_batched () =
         deliveries := (Packet.seq a p, Sim.now sim) :: !deliveries;
         Packet.free a p);
     let send_burst t0 n base =
-      Sim.at sim (ts t0) (fun () ->
+      Sim.at sim (ts t0) (thunk (fun () ->
           for i = 0 to n - 1 do
             Link.send link (mk_data ~seq:(base + i) a)
-          done)
+          done))
     in
     send_burst 0.0 6 0;  (* overflows the 3-packet buffer *)
     send_burst 0.1 2 100;  (* restart after a fully idle period *)
@@ -614,7 +615,7 @@ let topology_routing_chain () =
   let pkt =
     Packet.data a ~flow:7 ~src:0 ~dst:3 ~seq:42 ~ecn:false ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () -> Topology.inject topo n.(0) pkt);
+  Sim.at sim (ts 0.0) (thunk (fun () -> Topology.inject topo n.(0) pkt));
   Sim.run sim;
   Alcotest.(check (option int)) "delivered across 3 hops" (Some 42) !got;
   (* the node freed the packet after the agent saw it *)
@@ -664,18 +665,18 @@ let node_agent_demux () =
   let data flow seq =
     Packet.data arena ~flow ~src:0 ~dst:1 ~seq ~ecn:false ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       Node.receive a (data 1 0);
       Node.receive a (data 2 0);
-      Node.receive a (data 3 0));
+      Node.receive a (data 3 0)));
   Sim.run sim;
   check_int "flow 1" 1 !hits_1;
   check_int "flow 2" 1 !hits_2;
   (* agentless flow-3 delivery was freed too, not leaked *)
   check_int "all packets freed" 0 (Packet.live arena);
   Node.detach_agent b ~flow:1;
-  Sim.at sim (ts (Sim.now sim +. 0.001)) (fun () ->
-      Node.receive a (data 1 1));
+  Sim.at sim (ts (Sim.now sim +. 0.001)) (thunk (fun () ->
+      Node.receive a (data 1 1)));
   Sim.run sim;
   check_int "detached agent silent" 1 !hits_1
 
@@ -687,10 +688,10 @@ let tracer_records_lifecycle () =
   let link = link_fixture ~limit:2 sim a in
   Link.set_deliver link (fun p -> Packet.free a p);
   let tracer = Tracer.create [ link ] in
-  Sim.at sim (ts 0.0) (fun () ->
+  Sim.at sim (ts 0.0) (thunk (fun () ->
       for i = 0 to 4 do
         Link.send link (mk_data ~seq:i a)
-      done);
+      done));
   Sim.run sim;
   (* 3 accepted (1 transmitting + 2 buffered), 2 dropped:
      3 enqueues + 3 dequeues + 3 receives + 2 drops *)
@@ -722,7 +723,7 @@ let tracer_marks_flags () =
     Packet.data a ~flow:0 ~src:0 ~dst:1 ~seq:0 ~ecn:false ~retransmit:true
       ~now:0.0 ()
   in
-  Sim.at sim (ts 0.0) (fun () -> Link.send link pkt);
+  Sim.at sim (ts 0.0) (thunk (fun () -> Link.send link pkt));
   Sim.run sim;
   check_bool "retransmit flag traced" true
     (let trace = Tracer.to_string tracer in

@@ -255,7 +255,7 @@ let window_halves_on_loss () =
     Flow.create fx.topo ~src:fx.src ~dst:fx.dst ~cc:(Cc.newreno ()) ()
   in
   let before = ref 0.0 in
-  Sim.every fx.sim (ts 0.001) (fun () ->
+  Test_support.ticker fx.sim ~start:(ts 0.001) (ts 0.001) (fun () ->
       if Flow.loss_events flow = 0 then before := Flow.cwnd flow);
   Sim.run ~until:(ts 3.0) fx.sim;
   check_bool "saw loss" true (Flow.loss_events flow >= 1);

@@ -14,6 +14,7 @@ open Tcpstack
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let ts = Units.Time.s
+let thunk = Test_support.thunk
 
 type fixture = {
   sim : Sim.t;
@@ -86,7 +87,7 @@ let persist_rides_out_zero_window () =
   in
   let audit = watched_flow fx flow ~stall_after:(ts 1.0) in
   Flow.pause_reader flow;
-  Sim.at fx.sim (ts 3.0) (fun () -> Flow.resume_reader flow);
+  Sim.at fx.sim (ts 3.0) (thunk (fun () -> Flow.resume_reader flow));
   Sim.run ~until:(ts 20.0) fx.sim;
   check_bool "transfer completed" true (Flow.completed flow);
   check_bool "entered a zero-window episode" true
@@ -119,7 +120,7 @@ let no_persist_deadlocks_and_watchdog_fires () =
   in
   let audit = watched_flow fx flow ~stall_after:(ts 1.0) in
   Flow.pause_reader flow;
-  Sim.at fx.sim (ts 3.0) (fun () -> Flow.resume_reader flow);
+  Sim.at fx.sim (ts 3.0) (thunk (fun () -> Flow.resume_reader flow));
   Sim.run ~until:(ts 20.0) fx.sim;
   check_bool "transfer deadlocked" false (Flow.completed flow);
   check_int "no probes without persist" 0 (Flow.persist_probes flow);
@@ -140,9 +141,9 @@ let persist_does_not_inflate_rto () =
   in
   Flow.pause_reader flow;
   let rto_at_close = ref 0.0 in
-  Sim.at fx.sim (ts 1.0) (fun () ->
+  Sim.at fx.sim (ts 1.0) (thunk (fun () ->
       check_bool "in persist by t=1" true (Flow.in_persist flow);
-      rto_at_close := Units.Time.to_s (Flow.rto_value flow));
+      rto_at_close := Units.Time.to_s (Flow.rto_value flow)));
   Sim.run ~until:(ts 15.0) fx.sim;
   check_bool "several probes went out" true (Flow.persist_probes flow >= 3);
   check_int "zero retransmissions during persist" 0
@@ -154,13 +155,13 @@ let persist_does_not_inflate_rto () =
 (* --- RFC 5961 RST validation (acceptance b) ------------------------------ *)
 
 let inject_rst fx flow ~at ~victim ~seq_of =
-  Sim.at fx.sim (ts at) (fun () ->
+  Sim.at fx.sim (ts at) (thunk (fun () ->
       let a = T.arena fx.topo in
       let pkt =
         Packet.rst a ~flow:(Flow.id flow) ~src:(-1) ~dst:(Node.id victim)
           ~seq:(seq_of ()) ~now:(Sim.now fx.sim) ()
       in
-      Node.receive victim pkt)
+      Node.receive victim pkt))
 
 let rst_validation_discriminates () =
   let fx = fixture () in
@@ -173,8 +174,8 @@ let rst_validation_discriminates () =
   (* In-window but inexact: challenge ACK, connection survives. *)
   inject_rst fx flow ~at:0.7 ~victim:fx.src ~seq_of:(fun () ->
       Flow.snd_una flow + 1);
-  Sim.at fx.sim (ts 0.9) (fun () ->
-      check_bool "survived blind and in-window RSTs" false (Flow.aborted flow));
+  Sim.at fx.sim (ts 0.9) (thunk (fun () ->
+      check_bool "survived blind and in-window RSTs" false (Flow.aborted flow)));
   (* Exact sequence (what the real peer would send): abort. *)
   inject_rst fx flow ~at:1.0 ~victim:fx.src ~seq_of:(fun () ->
       Flow.snd_una flow);
@@ -204,7 +205,7 @@ let active_abort_tears_down () =
   let flow =
     Flow.create fx.topo ~src:fx.src ~dst:fx.dst ~cc:(Cc.newreno ()) ()
   in
-  Sim.at fx.sim (ts 0.5) (fun () -> Flow.abort flow);
+  Sim.at fx.sim (ts 0.5) (thunk (fun () -> Flow.abort flow));
   Sim.run ~until:(ts 1.0) fx.sim;
   check_bool "aborted" true (Flow.aborted flow);
   check_bool "no longer live" true (Flow.liveness flow = None)
@@ -218,7 +219,7 @@ let corrupted_segments_hit_the_gate () =
   in
   (* A corrupted ACK claiming a huge cumulative ack, and a corrupted RST:
      both must be discarded unread — no sequence advance, no abort. *)
-  Sim.at fx.sim (ts 0.5) (fun () ->
+  Sim.at fx.sim (ts 0.5) (thunk (fun () ->
       let una = Flow.snd_una flow in
       let a = T.arena fx.topo in
       let forged_ack =
@@ -236,7 +237,7 @@ let corrupted_segments_hit_the_gate () =
       Node.receive fx.src forged_rst;
       check_int "both rejected at the gate" 2 (Flow.corrupt_rejected flow);
       check_bool "corrupted exact RST did not abort" false (Flow.aborted flow);
-      check_bool "corrupted ack not applied" true (Flow.snd_una flow < 1_000_000));
+      check_bool "corrupted ack not applied" true (Flow.snd_una flow < 1_000_000)));
   Sim.run ~until:(ts 1.0) fx.sim;
   check_bool "flow unharmed" false (Flow.aborted flow);
   check_int "no real RSTs recorded" 0 (Flow.rsts_received flow)
