@@ -220,44 +220,68 @@ let kernel_wheel_100k () =
   done;
   ignore !acc
 
+(* The fixed-delay pipeline of the wheel_tracks_density_shift test
+   (test/test_engine.ml) at 100k pops: a 4096-event bulk load over
+   [1, 41] s sets a 35 ms width, then 1024 events stay in flight, each
+   re-added 10 ms after it pops (~9.8 us apart) — the density shift of
+   in-flight packet arrivals, which only the pop-side re-width follows.
+   The population stays between the resize triggers throughout. *)
+let wheel_pipeline_load () =
+  let w = Sim_engine.Wheel.create () in
+  for i = 0 to 4095 do
+    Sim_engine.Wheel.add w
+      ~time:(1.0 +. (40.0 *. float_of_int i /. 4096.0))
+      ~seq:i ()
+  done;
+  for i = 0 to 1023 do
+    Sim_engine.Wheel.add w
+      ~time:(1e-2 /. 1024.0 *. float_of_int i)
+      ~seq:(4096 + i) ()
+  done;
+  w
+
+let wheel_pipeline_run w pops =
+  for i = 0 to pops - 1 do
+    let t = Sim_engine.Wheel.min_time_exn w in
+    Sim_engine.Wheel.pop_min_exn w;
+    Sim_engine.Wheel.add w ~time:(t +. 1e-2) ~seq:(5120 + i) ()
+  done
+
+let kernel_wheel_pipeline () =
+  wheel_pipeline_run (wheel_pipeline_load ()) 100_000
+
 (* The O(1) claim under load: steady-state pop-one/add-one churn with a
    million events pending. A heap pays ~20 comparisons per operation
    here; the calendar queue's cost must not grow with the population.
-   The pending set is built once (outside the measured thunk) and kept
-   at exactly 1M across runs. *)
-let kernel_wheel_1m_pending =
+   The pending set is a bechamel resource, built before the timed runs
+   and kept at exactly 1M across them. Building it includes a warm-up
+   churn past the gap estimator's first window turnovers: on this
+   backlog the pop-side width re-check relinks all 1M nodes once, at
+   the 8192nd pop (60-100 ms). That step, like the bulk load, is paid
+   once per queue, and inside the timed runs it would dominate: the
+   0.5 s quota buys only ~15-65 runs, because bechamel stabilises the GC
+   over the ~40 MB backlog before every sample. *)
+type wheel_1m = { pending : unit Sim_engine.Wheel.t; mutable seq : int }
+
+let wheel_1m_churn st rounds =
+  for _ = 1 to rounds do
+    let t = Sim_engine.Wheel.min_time_exn st.pending in
+    Sim_engine.Wheel.pop_min_exn st.pending;
+    st.seq <- st.seq + 1;
+    Sim_engine.Wheel.add st.pending ~time:(t +. 1.0) ~seq:st.seq ()
+  done
+
+let wheel_1m_build () =
   let n = 1_000_000 in
-  (* Lazy: the backlog is ~40 MB that stays live once built, and
-     incremental major-GC marking of a live set that size bleeds into
-     every *other* kernel measured afterwards in the same process.
-     Building it on first call (the kernel also runs last, see the test
-     list) confines that tax to this kernel's own samples; the one-time
-     build lands in the first sample, which the OLS fit treats as the
-     outlier it is. *)
-  let state = ref None in
-  let seq = ref 0 in
-  let force () =
-    match !state with
-    | Some w -> w
-    | None ->
-        let w = Sim_engine.Wheel.create ~capacity:n () in
-        for i = 0 to n - 1 do
-          Sim_engine.Wheel.add w
-            ~time:(1e-3 *. float_of_int ((i * 7919) mod n))
-            ~seq:i ();
-          incr seq
-        done;
-        state := Some w;
-        w
-  in
-  fun () ->
-    let w = force () in
-    for _ = 1 to 1000 do
-      let t = Sim_engine.Wheel.min_time_exn w in
-      Sim_engine.Wheel.pop_min_exn w;
-      incr seq;
-      Sim_engine.Wheel.add w ~time:(t +. 1.0) ~seq:!seq ()
-    done
+  let w = Sim_engine.Wheel.create ~capacity:n () in
+  for i = 0 to n - 1 do
+    Sim_engine.Wheel.add w
+      ~time:(1e-3 *. float_of_int ((i * 7919) mod n))
+      ~seq:i ()
+  done;
+  let st = { pending = w; seq = n } in
+  wheel_1m_churn st 16_384;
+  st
 
 (* Arena handle lifecycle, isolated: one data + one ack packet built and
    freed per round, the slot pair recycling through the free list. This
@@ -454,6 +478,14 @@ let alloc_wheel_churn () =
   churn n (2 * n);
   (Gc.minor_words () -. w0, 2 * n)
 
+(* Measured phase: the 100k pops and their re-adds, re-widths
+   included; the bulk load and pool growth happen before. *)
+let alloc_wheel_pipeline () =
+  let w = wheel_pipeline_load () in
+  let w0 = Gc.minor_words () in
+  wheel_pipeline_run w 100_000;
+  (Gc.minor_words () -. w0, 2 * 100_000)
+
 let alloc_arena_churn () =
   let a = Netsim.Packet.create_arena () in
   let n = 10_000 in
@@ -485,6 +517,7 @@ let alloc_profiles =
     ("prim:heap-100k", alloc_heap 100_000);
     ("prim:wheel-100k", alloc_wheel 100_000);
     ("prim:wheel-churn", alloc_wheel_churn);
+    ("prim:wheel-pipeline", alloc_wheel_pipeline);
     ("prim:arena-churn", alloc_arena_churn);
     ("prim:sim-10k-events", alloc_sim_events);
     ("prim:pert-on-ack", alloc_pert_ack);
@@ -657,16 +690,19 @@ let tests =
       staged "prim:heap-1k-closure" (fun () -> ignore (kernel_heap_closure ()));
       staged "prim:heap-100k" kernel_heap_100k;
       staged "prim:wheel-100k" kernel_wheel_100k;
+      staged "prim:wheel-pipeline" kernel_wheel_pipeline;
       staged "prim:arena-churn" kernel_arena_churn;
       staged "prim:sim-10k-events" (fun () -> ignore (kernel_sim_events ()));
       staged "prim:pert-on-ack" (fun () -> ignore (kernel_pert_ack ()));
       staged "prim:red-enqueue" kernel_red_enqueue;
-      (* Deliberately last: this kernel's closure keeps a million-node
-         wheel (~40 MB, ~24 MB of it pointer-scannable) live for the
-         rest of the process, and incremental major-GC mark slices over
-         that live set would otherwise leak into every later kernel's
-         samples — a ~10x distortion for the sub-100ns kernels above. *)
-      staged "prim:wheel-1M-pending" kernel_wheel_1m_pending;
+      (* Deliberately last: this kernel's resource is a million-node
+         wheel (~40 MB, ~24 MB of it pointer-scannable), and
+         incremental major-GC mark slices over that live set would
+         otherwise leak into every later kernel's samples — a ~10x
+         distortion for the sub-100ns kernels above. *)
+      Test.make_with_resource ~name:"prim:wheel-1M-pending" Test.uniq
+        ~allocate:wheel_1m_build ~free:ignore
+        (Staged.stage (fun st -> wheel_1m_churn st 1000));
     ]
 
 (* --- measurement ----------------------------------------------------------- *)

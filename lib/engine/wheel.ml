@@ -9,8 +9,11 @@
    the dequeue scan walks absolute slots ([f_slot], a float so it is
    exact up to 2^53) and wraps around the ring, so each bucket yields
    only events of the scan's current "year" and in key order. Buckets
-   hold ~O(1) events when [width] matches the observed event density,
-   which [resize] maintains automatically (see below).
+   hold ~O(1) events when [width] matches the observed event density.
+   Two points re-estimate it: every size-triggered [resize], and
+   [pop_min_exn] each time the gap estimator's window turns over, which
+   re-widths the ring in place once the estimate has left the current
+   width's band (see [next_width]).
 
    Scan invariant: no pending event maps to an absolute slot earlier
    than [f_slot]. [add] restores it by rewinding the scan when an event
@@ -59,10 +62,11 @@ let f_slot = 1  (* absolute slot number of the dequeue scan *)
 let f_last = 2  (* largest time popped so far *)
 let f_gap = 3
 (* [f_gap]: running density estimate — summed spacing between
-   successive distinct pop times, used to pick the width on resize. *)
+   successive distinct pop times over the last [gap_window] or fewer
+   of them, used to pick the width. *)
 let f_max = 4
 (* [f_max]: high-water mark of added event times. With [f_last] it
-   bounds the span of the pending set, giving [resize] a width estimate
+   bounds the span of the pending set, giving [estimate_width] a signal
    that works before any pop has produced a gap sample — without it, a
    bulk load keeps the stale default width and the drain scan walks
    arbitrarily many empty buckets per pop. *)
@@ -88,6 +92,12 @@ let[@inline] set_max_time t v = Float.Array.unsafe_set t.fstate f_max v
 
 let min_buckets = 4
 let default_width = 1e-3
+
+(* At [gap_window] samples the gap estimator halves its sums, so its
+   window turns over every [gap_window / 2] distinct-time pops: old
+   regimes (e.g. a warm-up phase) age out, and each turnover is when
+   [pop_min_exn] re-checks the width. *)
+let gap_window = 4096
 
 (* Inert filler for payload slots not currently on any bucket chain
    (same Dynarray technique as [Heap.dummy]): an immediate, never read
@@ -190,54 +200,49 @@ let[@inline] set_unext t i v = Array.unsafe_set t.next i v
 let[@inline] ubucket t b = Array.unsafe_get t.buckets b
 let[@inline] set_ubucket t b v = Array.unsafe_set t.buckets b v
 
-(* Walk [prev]'s chain to the insertion point for key [(time, seq)] and
-   splice [n] in. Toplevel and tail-recursive on int/already-boxed
-   arguments: a local closure or a (prev, cur) tuple here would charge
-   ~10 minor words to every [add]. *)
-let rec chain_insert t n prev time seq =
+(* Key order on nodes: [(time, seq)] lexicographically. Comparing by
+   node index keeps every float in its plane — a float argument to the
+   recursive helpers below would be boxed at each call. *)
+let[@inline] key_lt t a b =
+  utime t a < utime t b
+  || (Float.equal (utime t a) (utime t b) && useq t a < useq t b)
+
+(* Walk [prev]'s chain to the insertion point for node [n]'s key and
+   splice [n] in. Toplevel and tail-recursive on int arguments: a local
+   closure or a (prev, cur) tuple here would charge ~10 minor words to
+   every [add]. *)
+let rec chain_insert t n prev =
   let cur = unext t prev in
-  if
-    cur >= 0
-    && (utime t cur < time
-       || (Float.equal (utime t cur) time && useq t cur < seq))
-  then chain_insert t n cur time seq
+  if cur >= 0 && key_lt t cur n then chain_insert t n cur
   else begin
     set_unext t n cur;
     set_unext t prev n
   end
 
-(* Insert node [n] (whose key [(time, seq)] is already stored) into
-   bucket [b]'s sorted chain; the caller has already derived [b] from
-   the time, so the slot arithmetic is done exactly once per insert.
-   O(chain length): amortized O(1) when [width] tracks density. *)
-let[@inline] link_node t n b time seq =
+(* Insert node [n] (whose key is already stored) into bucket [b]'s
+   sorted chain; the caller has already derived [b] from the time, so
+   the slot arithmetic is done exactly once per insert. O(chain
+   length): amortized O(1) when [width] tracks density. *)
+let[@inline] link_node t n b =
   let h = ubucket t b in
-  if
-    h < 0
-    || time < utime t h
-    || (Float.equal time (utime t h) && seq < useq t h)
-  then begin
+  if h < 0 || key_lt t n h then begin
     set_unext t n h;
     set_ubucket t b n
   end
-  else chain_insert t n h time seq
+  else chain_insert t n h
 
-(* [@lint.allow "A1"]: geometry change reallocates the bucket ring; the
-   doubling/halving schedule amortizes it to O(1) per operation. *)
-let[@lint.allow "A1"] resize t nbuckets' =
-  (* Width from observed event density, two estimators: mean inter-event
-     gap of recent pops, and the pending set's span over its population
-     ([f_max] - [f_last], the only estimate available during a bulk load
-     before any pop). Take the finer of the two, times a small factor so
-     a bucket holds a handful of events: a too-fine width degrades
-     gracefully (the direct-search fallback re-anchors past an empty
-     region in one ring walk, amortized per region not per pop), while a
-     too-coarse width piles events into one bucket and makes every
-     insert walk the chain. Purely a performance knob — any positive
-     width is correct — but it must be deterministic, which a function
-     of event times is. The 1e-9 floor keeps slot numbers far below
-     2^53 for any simulated time this repo reaches. *)
-  let w = width t in
+(* Width from observed event density, two estimators: mean inter-event
+   gap of recent pops, and the pending set's span over its population
+   ([f_max] - [f_last], the only estimate available during a bulk load
+   before any pop). Take the finer of the two, times a small factor so
+   a bucket holds a handful of events: a too-fine width degrades
+   gracefully (the direct-search fallback re-anchors past an empty
+   region in one ring walk, amortized per region not per pop), while a
+   too-coarse width piles events into one bucket and makes every insert
+   walk the chain. Purely a performance knob — any positive width is
+   correct — but it must be deterministic, which a function of event
+   times is. Infinite while neither estimator has a sample. *)
+let[@inline] estimate_width t =
   let gap_est =
     if t.gap_count > 0 && gap_sum t > 0.0 then
       3.0 *. gap_sum t /. float_of_int t.gap_count
@@ -248,29 +253,98 @@ let[@lint.allow "A1"] resize t nbuckets' =
     if t.size > 0 && span > 0.0 then 3.0 *. span /. float_of_int t.size
     else Float.infinity
   in
-  let est = Float.min gap_est span_est in
-  (* Keep the current width while the estimate stays within its
-     [w/2, 2w) band. Two payoffs: the geometry stops chasing estimator
-     jitter, and — the point — a grow under an UNCHANGED width maps each
-     old bucket's chain into new buckets no other old bucket touches
-     (identical slot numbers, wider mask), which unlocks the
-     comparison-free relink below. A finer width would not be sound
-     there: recomputing [slot_of] under w/2 is a fresh float division
-     that can disagree with 2x the old slot by an ulp at a boundary,
-     landing a node in a new bucket another old bucket also feeds and
-     silently interleaving two sorted runs. An estimate outside the band
-     means the density regime really changed: take it as-is and pay the
-     full sorted relink. *)
-  let width' =
-    if Float.is_finite est && est > 0.0 then
-      if est >= 0.5 *. w && est < 2.0 *. w then w else Float.max est 1e-9
-    else w
-  in
+  Float.min gap_est span_est
+
+(* The width a relink should adopt. Keep the current one while the
+   estimate stays within its [w/2, 2w) band. Two payoffs: the geometry
+   stops chasing estimator jitter, and — for [resize] — a grow under an
+   UNCHANGED width maps each old bucket's chain into new buckets no
+   other old bucket touches (identical slot numbers, wider mask), which
+   unlocks the comparison-free relink there. An estimate outside the
+   band means the density regime really changed: take it as-is. The
+   1e-9 floor keeps slot numbers far below 2^53 for any simulated time
+   this repo reaches. *)
+let[@inline] next_width t =
+  let w = width t and est = estimate_width t in
+  if Float.is_finite est && est > 0.0 && (est < 0.5 *. w || est >= 2.0 *. w)
+  then Float.max est 1e-9
+  else w
+
+(* Detach every chain of [buckets] from bucket [b] on, emptying each
+   head, and return the nodes as one list threaded through [next].
+   Each chain is consumed front to back and prepended node by node, so
+   the list holds it in descending key order — the order in which
+   [link_node] inserts at a chain head in O(1). Tail-recursive on ints,
+   like [chain_insert]: nothing here allocates. *)
+let rec detach_chain t n acc =
+  if n < 0 then acc
+  else begin
+    let nx = unext t n in
+    set_unext t n acc;
+    detach_chain t nx n
+  end
+
+let rec detach t buckets b acc =
+  if b >= Array.length buckets then acc
+  else begin
+    let h = buckets.(b) in
+    buckets.(b) <- -1;
+    detach t buckets (b + 1) (detach_chain t h acc)
+  end
+
+let rec relink t n =
+  if n >= 0 then begin
+    let nx = unext t n in
+    link_node t n (bucket_of_slot t (slot_of t (utime t n)));
+    relink t nx
+  end
+
+(* The sorted relink, the one path by which the width changes: drain
+   every chain of [src], adopt width [w'], then insert each node into
+   [t.buckets] under the new geometry, [link_node] keeping each chain
+   sorted. [src] is the old ring after a [resize] reallocated it, or
+   [t.buckets] itself for the in-place re-width — draining empties it
+   before the first insert. *)
+let[@inline] relink_sorted t src w' =
+  let l = detach t src 0 (-1) in
+  set_width t w';
+  relink t l
+
+(* Direct-search fallback: minimum over all chain heads (chains are
+   sorted, so heads suffice), then re-anchor the scan at the winner.
+   Tail-recursive on ints — no refs, no boxing. size > 0 guarantees a
+   head exists, so [best] is valid at the end. *)
+let rec direct_search t b best =
+  if b >= t.nbuckets then begin
+    t.head <- best;
+    let sl = slot_of t (utime t best) in
+    set_slot t sl;
+    t.headb <- bucket_of_slot t sl
+  end
+  else begin
+    let h = ubucket t b in
+    let best = if h >= 0 && (best < 0 || key_lt t h best) then h else best in
+    direct_search t (b + 1) best
+  end
+
+(* After a relink, point the scan at the minimum in one O(B) pass: the
+   scan invariant then holds trivially, and the memoized head is
+   valid. *)
+let reanchor t =
+  if t.size > 0 then direct_search t 0 (-1)
+  else begin
+    set_slot t 0.0;
+    t.head <- -1
+  end
+
+(* [@lint.allow "A1"]: geometry change reallocates the bucket ring; the
+   doubling/halving schedule amortizes it to O(1) per operation. *)
+let[@lint.allow "A1"] resize t nbuckets' =
+  let w = width t and w' = next_width t in
   let old_buckets = t.buckets and old_n = t.nbuckets in
   t.buckets <- Array.make nbuckets' (-1);
   t.nbuckets <- nbuckets';
-  set_width t width';
-  if Float.equal width' w && nbuckets' > old_n && nbuckets' land (old_n - 1) = 0
+  if Float.equal w' w && nbuckets' > old_n && nbuckets' land (old_n - 1) = 0
   then begin
     (* Order-preserving fast relink, valid for a grow to ANY power-of-two
        multiple of [old_n] under an unchanged width: traverse each old
@@ -279,9 +353,12 @@ let[@lint.allow "A1"] resize t nbuckets' =
        with the width unchanged every node keeps its slot number, so a
        new bucket receives nodes of exactly one slot residue class mod
        [old_n] — one old bucket — and each new chain is one ascending
-       subsequence prepended into descending order. (A shrink has no
-       such path: several old buckets fold into one new bucket, which
-       would interleave their sorted runs.) *)
+       subsequence prepended into descending order. A finer width would
+       not be sound here: recomputing [slot_of] under w/2 is a fresh
+       multiply that can disagree with 2x the old slot by an ulp at a
+       boundary, landing a node in a new bucket another old bucket also
+       feeds and silently interleaving two sorted runs. (A shrink has no
+       such path either: several old buckets fold into one new bucket.) *)
     for b = 0 to old_n - 1 do
       let cur = ref old_buckets.(b) in
       while !cur >= 0 do
@@ -303,25 +380,8 @@ let[@lint.allow "A1"] resize t nbuckets' =
       t.buckets.(nb) <- !prev
     done
   end
-  else
-    (* Relink every node under the new geometry. Chains are consumed
-       front-to-back; [link_node] keeps each new chain sorted. *)
-    for b = 0 to old_n - 1 do
-      let cur = ref old_buckets.(b) in
-      while !cur >= 0 do
-        let n = !cur in
-        cur := t.next.(n);
-        link_node t n
-          (bucket_of_slot t (slot_of t t.times.(n)))
-          t.times.(n) t.seqs.(n)
-      done
-    done;
-  (* Restart the scan from slot 0: trivially below every pending slot,
-     so the invariant holds. The next scan pays at most one ring walk
-     before the direct-search fallback re-anchors it — O(B), amortized
-     into the resize itself. *)
-  set_slot t 0.0;
-  t.head <- -1
+  else relink_sorted t old_buckets w';
+  reanchor t
 
 let[@alloc.zero] add t ~time ~seq x =
   if t.free < 0 then grow_pool t;
@@ -332,7 +392,7 @@ let[@alloc.zero] add t ~time ~seq x =
   Array.unsafe_set t.data n x;
   let eslot = slot_of t time in
   let b = bucket_of_slot t eslot in
-  link_node t n b time seq;
+  link_node t n b;
   t.size <- t.size + 1;
   if time > max_time t then set_max_time t time;
   (* Restore the scan invariant: an event landing in a slot the scan
@@ -340,11 +400,7 @@ let[@alloc.zero] add t ~time ~seq x =
   if eslot < slot t then set_slot t eslot;
   (* Keep the memoized minimum truthful: the previous head was the
      global minimum, so beating it makes [n] the new minimum. *)
-  if
-    t.head >= 0
-    && (time < utime t t.head
-       || (Float.equal time (utime t t.head) && seq < useq t t.head))
-  then begin
+  if t.head >= 0 && key_lt t n t.head then begin
     t.head <- n;
     t.headb <- b
   end;
@@ -375,32 +431,6 @@ exception Empty
    of later years are >= a full ring ahead. If a whole ring of slots
    yields nothing (sparse far-future events), fall back to a direct
    min scan over chain heads and re-anchor at the winner. *)
-(* Direct-search fallback: minimum over all chain heads (chains are
-   sorted, so heads suffice), then re-anchor the scan at the winner.
-   Tail-recursive on ints — no refs, no boxing. size > 0 guarantees a
-   head exists, so [best] is valid at the end. *)
-let rec direct_search t b best =
-  if b >= t.nbuckets then begin
-    t.head <- best;
-    let sl = slot_of t (utime t best) in
-    set_slot t sl;
-    t.headb <- bucket_of_slot t sl
-  end
-  else begin
-    let h = ubucket t b in
-    let best =
-      if
-        h >= 0
-        && (best < 0
-           || utime t h < utime t best
-           || (Float.equal (utime t h) (utime t best)
-              && useq t h < useq t best))
-      then h
-      else best
-    in
-    direct_search t (b + 1) best
-  end
-
 let rec scan_from t steps =
   let b = bucket_of_slot t (slot t) in
   let h = ubucket t b in
@@ -448,13 +478,24 @@ let[@alloc.zero] pop_min_exn t =
     (* Density sample: spacing between successive distinct pop times. *)
     set_gap_sum t (gap_sum t +. (time -. last_time t));
     t.gap_count <- t.gap_count + 1;
-    if t.gap_count >= 4096 then begin
-      (* Keep the estimate recent: halve the window so old regimes
-         (e.g. a warmup phase) stop dominating the mean. *)
+    set_last_time t time;
+    if t.gap_count >= gap_window then begin
       set_gap_sum t (gap_sum t *. 0.5);
-      t.gap_count <- t.gap_count / 2
-    end;
-    set_last_time t time
+      t.gap_count <- t.gap_count / 2;
+      (* Window turnover: re-check the width. [resize] alone leaves it
+         wherever the last size-triggered step put it, and a pending set
+         that settles between the shrink and grow triggers never resizes
+         again — on the web mix that froze a start-up width hundreds of
+         times the steady-state gap, and every fixed-delay add walked
+         one long chain. Relink in place, into the ring already
+         allocated: a fresh ring per re-width runs as fast but shifts
+         the GC schedule of a whole run (DESIGN.md section 7). *)
+      let w' = next_width t in
+      if not (Float.equal w' (width t)) then begin
+        relink_sorted t t.buckets w';
+        reanchor t
+      end
+    end
   end;
   let x = Array.unsafe_get t.data n in
   (* Scrub the slot and return the node to the free list. *)

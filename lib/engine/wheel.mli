@@ -1,6 +1,8 @@
 (** Calendar-queue event scheduler (Brown 1988, the ns-2 default):
-    amortized O(1) insert and extract-min, with automatic bucket
-    width/count resizing keyed to observed event-time density.
+    amortized O(1) insert and extract-min. The bucket count follows the
+    pending population; the bucket width follows observed event-time
+    density, re-estimated on every resize and, between resizes, every
+    2048 distinct-time pops.
 
     Drop-in alternative to {!Heap}: same API, same keys, and the same
     ordering contract — [(time, seq)] pairs compared lexicographically,
@@ -53,3 +55,7 @@ val peek_time : 'a t -> float option
     paths should test {!is_empty} and use {!min_time_exn} instead. *)
 
 val clear : 'a t -> unit
+
+val width : 'a t -> float
+(** Current bucket width in seconds. Read-only: the queue sets it from
+    observed density, and any positive width pops the same order. *)

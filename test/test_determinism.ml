@@ -47,4 +47,9 @@ let suite =
     ( "fig6 family is scheduler-invariant (smoke)",
       `Slow,
       scheduler_invariant "fig6" Scale.Smoke );
+    (* The web mix: the workload whose density shift drives the
+       calendar queue's pop-side re-width. *)
+    ( "fig9 family is scheduler-invariant (smoke)",
+      `Slow,
+      scheduler_invariant "fig9" Scale.Smoke );
   ]

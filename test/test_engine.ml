@@ -293,6 +293,43 @@ let wheel_resize_boundaries () =
   done;
   check_bool "both drained" true (Heap.is_empty h && Wheel.is_empty w)
 
+(* The width must follow a density shift that no resize sees. A bulk
+   load of 4096 events over [1, 41] s sets a 35 ms width; then 1024
+   events stay in flight, each re-added 10 ms after it pops — the shape
+   of in-flight packet arrivals, ~9.8 us apart. The population never
+   crosses a grow or shrink trigger again, so only the pop-side re-check
+   can bring the width down; without it every re-add walks a chain of
+   the ~1000 events sharing its 35 ms bucket. Pops must match the heap
+   throughout. *)
+let wheel_tracks_density_shift () =
+  let h = Heap.create () and w = Wheel.create () in
+  let seq = ref 0 in
+  let add time =
+    Heap.add h ~time ~seq:!seq !seq;
+    Wheel.add w ~time ~seq:!seq !seq;
+    incr seq
+  in
+  let bulk = 4096 and in_flight = 1024 and delay = 0.010 in
+  for i = 0 to bulk - 1 do
+    add (1.0 +. (40.0 *. float_of_int i /. float_of_int bulk))
+  done;
+  let gap = delay /. float_of_int in_flight in
+  for i = 0 to in_flight - 1 do
+    add (gap *. float_of_int i)
+  done;
+  for _ = 1 to 16 * in_flight do
+    let th = Heap.min_time_exn h and tw = Wheel.min_time_exn w in
+    check_float "same min time" th tw;
+    let vh = Heap.pop_min_exn h and vw = Wheel.pop_min_exn w in
+    check_int "same payload" vh vw;
+    add (tw +. delay)
+  done;
+  check_bool
+    (Printf.sprintf "width %.3g s within 8x the %.3g s in-flight gap"
+       (Wheel.width w) gap)
+    true
+    (Wheel.width w <= 8.0 *. gap)
+
 (* Dynamic counterpart of the wheel's [@alloc.zero] contract, the
    steady-state shape the event loop produces: a constant-size
    pop-one/add-one churn (no resizes once warm). Budget matches
@@ -886,6 +923,7 @@ let suite =
     ("wheel reuse after clear", `Quick, wheel_reuse_after_clear);
     ("wheel pop releases payload", `Quick, wheel_pop_releases_payload);
     ("wheel resize boundaries match heap", `Quick, wheel_resize_boundaries);
+    ("wheel tracks density shift", `Quick, wheel_tracks_density_shift);
     ("wheel hot path stays allocation-free", `Quick, wheel_hot_path_allocation_free);
     ("sim scheduler choice", `Quick, sim_scheduler_choice);
     ("sim scheduler heap/wheel equivalence", `Quick, sim_scheduler_equivalence);
