@@ -351,6 +351,64 @@ let kernel_red_enqueue =
     | Netsim.Queue_disc.Reject -> ());
     Netsim.Packet.free a pkt
 
+(* One link's packet path end to end: a source offering a packet every
+   1.25 transmission times (80 % load) to a Batched DropTail link with a
+   constant 10 ms delay, and a sink that frees each delivered packet.
+   The source re-arms one preallocated event, so the per-packet cost
+   left is the link's own: enqueue, batched dequeue, the in-flight ring
+   and the delivery event, plus the packet's arena slot. *)
+type link_src = {
+  ls_sim : Sim_engine.Sim.t;
+  ls_link : Netsim.Link.t;
+  ls_arena : Netsim.Packet.arena;
+  ls_gap : Units.Time.t;
+  mutable ls_seq : int;
+  mutable ls_ev : Sim_engine.Event.t;
+}
+
+let link_src_ev =
+  Sim_engine.Event.define ~name:"bench:link-src" (fun src ->
+      Netsim.Link.send src.ls_link
+        (Netsim.Packet.data src.ls_arena ~flow:0 ~src:0 ~dst:1
+           ~seq:src.ls_seq ~ecn:false
+           ~now:(Sim_engine.Sim.now src.ls_sim) ());
+      src.ls_seq <- src.ls_seq + 1;
+      Sim_engine.Sim.after src.ls_sim src.ls_gap src.ls_ev)
+
+let link_src_unarmed = Sim_engine.Event.define ~name:"bench:link-unarmed" ignore ()
+
+let link_pipeline_build () =
+  let sim = Sim_engine.Sim.create ~seed:1 () in
+  let arena = Netsim.Packet.create_arena () in
+  let bandwidth = 100e6 in
+  let link =
+    Netsim.Link.create sim ~arena ~name:"pipeline"
+      ~bandwidth:(Units.Rate.bps bandwidth) ~delay:(Units.Time.s 0.01)
+      ~disc:(Netsim.Droptail.create ~limit_pkts:1000)
+  in
+  Netsim.Link.set_deliver link (fun p -> Netsim.Packet.free arena p);
+  let tx = float_of_int (8 * Netsim.Packet.data_size) /. bandwidth in
+  let src =
+    { ls_sim = sim; ls_link = link; ls_arena = arena;
+      ls_gap = Units.Time.s (tx /. 0.8); ls_seq = 0; ls_ev = link_src_unarmed }
+  in
+  src.ls_ev <- link_src_ev src;
+  Sim_engine.Sim.at sim (Units.Time.s 0.0) src.ls_ev;
+  src
+
+(* Offer [n] more packets; returns how many the link has been offered. *)
+let link_pipeline_run src n =
+  let horizon =
+    Sim_engine.Sim.now src.ls_sim
+    +. (float_of_int n *. Units.Time.to_s src.ls_gap)
+  in
+  Sim_engine.Sim.run ~until:(Units.Time.s horizon) src.ls_sim;
+  Netsim.Link.arrivals src.ls_link
+
+let kernel_link_pipeline =
+  let src = link_pipeline_build () in
+  fun () -> ignore (link_pipeline_run src 1000)
+
 (* --- allocation profile ----------------------------------------------------
 
    Dynamic side of the [@alloc.zero] contract: run each hot primitive
@@ -510,6 +568,16 @@ let alloc_arena_churn () =
   done;
   (Gc.minor_words () -. w0, 2 * n)
 
+(* Words per packet offered, after a warm-up that fills the wire (the
+   ring and the arena reach their steady size). *)
+let alloc_link_pipeline () =
+  let src = link_pipeline_build () in
+  let n = 10_000 in
+  let before = link_pipeline_run src 1000 in
+  let w0 = Gc.minor_words () in
+  let after = link_pipeline_run src n in
+  (Gc.minor_words () -. w0, after - before)
+
 let alloc_profiles =
   [
     ("prim:heap-1k", alloc_heap 1_000);
@@ -522,6 +590,7 @@ let alloc_profiles =
     ("prim:sim-10k-events", alloc_sim_events);
     ("prim:pert-on-ack", alloc_pert_ack);
     ("prim:red-enqueue", alloc_red_enqueue);
+    ("prim:link-pipeline", alloc_link_pipeline);
   ]
 
 let measure_alloc () =
@@ -695,6 +764,7 @@ let tests =
       staged "prim:sim-10k-events" (fun () -> ignore (kernel_sim_events ()));
       staged "prim:pert-on-ack" (fun () -> ignore (kernel_pert_ack ()));
       staged "prim:red-enqueue" kernel_red_enqueue;
+      staged "prim:link-pipeline" kernel_link_pipeline;
       (* Deliberately last: this kernel's resource is a million-node
          wheel (~40 MB, ~24 MB of it pointer-scannable), and
          incremental major-GC mark slices over that live set would

@@ -104,13 +104,26 @@ let fresh_id t =
 (* The public scheduling API speaks [Units.Time.t]; the clock and heap
    keys stay raw float seconds internally (hot path). *)
 
-let at t time ev =
+(* Every event's tie-break number is drawn here, in scheduling-call
+   order. A component that keeps one event record pending on behalf of
+   many logical events (a link's delivery ring, a flow's RTO timer)
+   draws the number when it would have scheduled, and inserts later
+   under it, so its events keep the keys they would have had. *)
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let[@inline never] in_the_past t time =
+  invalid_arg (Printf.sprintf "Sim.at: time %g is before now %g" time t.clock)
+
+(* Inlined, so that [at] costs one call. *)
+let[@inline] at_reserved t time ~seq ev =
   let time = Units.Time.to_s time in
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.at: time %g is before now %g" time t.clock);
-  sched_add t ~time ~seq:t.next_seq ev;
-  t.next_seq <- t.next_seq + 1
+  if time < t.clock then in_the_past t time;
+  sched_add t ~time ~seq ev
+
+let at t time ev = at_reserved t time ~seq:(reserve t) ev
 
 let after t delay ev =
   let delay = Units.Time.to_s delay in
@@ -280,6 +293,7 @@ let run ?until t =
     | None -> ()
 
 let events_executed t = t.executed
+let pending t = t.pending
 
 module Snapshot = struct
   exception Incompatible of string

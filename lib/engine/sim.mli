@@ -38,6 +38,25 @@ val after : t -> Units.Time.t -> Event.t -> unit
 (** [after t delay ev] schedules [ev] at [now t +. delay].
     [delay >= 0]. *)
 
+val reserve : t -> int
+(** [reserve t] draws the next tie-break number: the one the next
+    {!at}/{!after} call would have used. {!at} is
+    [at_reserved t time ~seq:(reserve t) ev].
+
+    Equal-time events run in the order their numbers were drawn, so a
+    component that defers an insertion keeps the event's place by
+    drawing the number where it would have scheduled, and passing it to
+    {!at_reserved} later. A link draws one per transmitted packet and
+    keeps only the earliest delivery pending; a flow draws one per RTO
+    restart and keeps one timer event pending. Draw a number only where
+    an event would have been scheduled; every later event's number
+    shifts otherwise. *)
+
+val at_reserved : t -> Units.Time.t -> seq:int -> Event.t -> unit
+(** [at_reserved t time ~seq ev] schedules [ev] at [time] under the
+    reserved number [seq]. [time >= now t], as for {!at}. Insert each
+    reserved number at most once, so that no two events share a key. *)
+
 val stop : t -> unit
 (** Stop the event loop after the current event returns. *)
 
@@ -105,6 +124,11 @@ val run : ?until:Units.Time.t -> t -> unit
 
 val events_executed : t -> int
 (** Total number of events executed so far (for benchmarks). *)
+
+val pending : t -> int
+(** Number of events currently queued. Links and flows keep one
+    delivery event and one RTO event pending each, so this scales with
+    links plus flows, not with packets in flight. *)
 
 (** Live-state checkpoints: marshal the whole simulation mid-run and
     restore it — in this process or a fresh one running the same binary

@@ -38,6 +38,18 @@ type t = {
   (* Preallocated batched-mode anchor event (see [arm_anchor]). *)
   mutable anchor_ev : Event.t;
   bs : floatarray;
+  (* In-flight ring: packets on the wire, as parallel power-of-two rings
+     of (delivery time, reserved seq, packet) sorted by the [(time, seq)]
+     key the scheduler orders by, head first. Storage is allocated on
+     the first push. Only the head entry is handed to the scheduler, as
+     [deliver_ev] under its own key, so the link keeps one delivery
+     event pending instead of one per packet (see [ring_settle]). *)
+  mutable fl_time : floatarray;
+  mutable fl_seq : int array;  (* [lnot seq] once handed to the scheduler *)
+  mutable fl_pkt : Packet.t array;
+  mutable fl_head : int;
+  mutable fl_len : int;
+  mutable deliver_ev : Event.t;
   (* lifetime accounting (never reset): conservation invariant *)
   mutable life_arrivals : int;
   mutable life_drops : int;
@@ -59,14 +71,6 @@ type t = {
 (* Payload of the self-rescheduling queue-trace event kind: the sampled
    link plus the (per-enable, fixed) sampling interval. *)
 type qtrace = { qt_link : t; qt_interval : Time.t }
-
-(* The per-packet delivery event kind. Declared up front (two-step): its
-   handler is [deliver_event], which lives inside the batched-service
-   recursive knot below. The packet rides in the unboxed [int] slot of
-   {!Event.define2} form events, so one 4-word event record per packet
-   replaces the old one-closure-per-packet — and, being plain data, it
-   survives a checkpoint. *)
-let deliver_ev, set_deliver_ev = Event.declare ~name:"link.deliver"
 
 let[@inline] sched_free t = Float.Array.unsafe_get t.bs b_sched_free
 let[@inline] set_sched_free t v = Float.Array.unsafe_set t.bs b_sched_free v
@@ -102,6 +106,106 @@ let disc t = t.disc
 let arena t = t.arena
 let service t = t.service
 
+(* --- in-flight ring -------------------------------------------------------
+
+   Propagation runs in parallel with transmission, so many packets can
+   be on the wire at once; each must reach the far end at its own
+   (time, seq) key. The ring keeps them sorted by that key, and only the
+   head is ever pending in the scheduler: when it fires, the next entry
+   becomes the head and is scheduled under its own key. Every entry is
+   handed to the scheduler at most once, at the moment it becomes the
+   head, and the event that fires always pops the head — the earliest
+   pending key of this link is always the head's.
+
+   The push path runs inside [@alloc.zero] roots ([send],
+   [tx_complete]), so its helpers pass only ints: the caller writes the
+   delivery time straight into the float plane, where a store does not
+   box. *)
+
+let[@inline] ring_mask t = Float.Array.length t.fl_time - 1
+let[@inline] ring_slot t k = (t.fl_head + k) land ring_mask t
+
+(* [@lint.allow "A1"]: doubling amortises the fresh backing arrays to
+   O(1) words per push, as in [Queue_disc.Fifo.grow]; a link at its
+   steady-state number of packets in flight never grows again. *)
+let[@lint.allow "A1"] ring_grow t =
+  let cap = Float.Array.length t.fl_time in
+  let cap' = if cap = 0 then 16 else 2 * cap in
+  let time = Float.Array.make cap' 0.0 in
+  let seq = Array.make cap' 0 in
+  let pkt = Array.make cap' Packet.none in
+  for k = 0 to t.fl_len - 1 do
+    let j = ring_slot t k in
+    Float.Array.unsafe_set time k (Float.Array.unsafe_get t.fl_time j);
+    Array.unsafe_set seq k (Array.unsafe_get t.fl_seq j);
+    Array.unsafe_set pkt k (Array.unsafe_get t.fl_pkt j)
+  done;
+  t.fl_time <- time;
+  t.fl_seq <- seq;
+  t.fl_pkt <- pkt;
+  t.fl_head <- 0
+
+(* Claim the slot after the tail for a packet and return its index; the
+   caller stores the delivery time there, then calls [ring_settle]. *)
+let ring_push t ~seq pkt =
+  if t.fl_len = Float.Array.length t.fl_time then ring_grow t;
+  let i = ring_slot t t.fl_len in
+  Array.unsafe_set t.fl_seq i seq;
+  Array.unsafe_set t.fl_pkt i pkt;
+  t.fl_len <- t.fl_len + 1;
+  i
+
+let ring_swap t i j =
+  let time = Float.Array.unsafe_get t.fl_time i in
+  Float.Array.unsafe_set t.fl_time i (Float.Array.unsafe_get t.fl_time j);
+  Float.Array.unsafe_set t.fl_time j time;
+  let seq = Array.unsafe_get t.fl_seq i in
+  Array.unsafe_set t.fl_seq i (Array.unsafe_get t.fl_seq j);
+  Array.unsafe_set t.fl_seq j seq;
+  let pkt = Array.unsafe_get t.fl_pkt i in
+  Array.unsafe_set t.fl_pkt i (Array.unsafe_get t.fl_pkt j);
+  Array.unsafe_set t.fl_pkt j pkt
+
+(* Hand the head to the scheduler unless it already is: jitter can put a
+   newer packet in front of a scheduled head, which then stays pending
+   under its own key and must not be scheduled twice. *)
+let schedule_head t =
+  let i = t.fl_head in
+  let seq = Array.unsafe_get t.fl_seq i in
+  if seq >= 0 then begin
+    Array.unsafe_set t.fl_seq i (lnot seq);
+    Sim.at_reserved t.sim
+      (Time.s (Float.Array.unsafe_get t.fl_time i))
+      ~seq t.deliver_ev
+  end
+
+(* Move the newest entry (logical position [k], the tail) in front of
+   every entry due strictly later. Its seq is the largest in the ring,
+   so an equal time keeps it behind. Without jitter delivery times are
+   nondecreasing and this never moves anything. *)
+let rec ring_settle_from t k =
+  if k = 0 then schedule_head t
+  else begin
+    let i = ring_slot t k and j = ring_slot t (k - 1) in
+    if Float.Array.unsafe_get t.fl_time j > Float.Array.unsafe_get t.fl_time i
+    then begin
+      ring_swap t i j;
+      ring_settle_from t (k - 1)
+    end
+  end
+
+let ring_settle t = ring_settle_from t (t.fl_len - 1)
+
+(* Remove the head, hand its successor to the scheduler, return it. *)
+let ring_pop t =
+  let i = t.fl_head in
+  let pkt = Array.unsafe_get t.fl_pkt i in
+  Array.unsafe_set t.fl_pkt i Packet.none;
+  t.fl_head <- (i + 1) land ring_mask t;
+  t.fl_len <- t.fl_len - 1;
+  if t.fl_len > 0 then schedule_head t;
+  pkt
+
 let note_queue_change t ~now =
   (* A1: discipline access goes through a function-typed field pertalloc
      cannot see into; every discipline's accessors are allocation-free. *)
@@ -117,9 +221,10 @@ let note_queue_change t ~now =
    back-to-back) and materializes the dequeue bookkeeping lazily, in
    batches, whenever the link is next observed — an arrival, a delivery,
    a stats read, or the safety-net anchor event. Each materialized
-   packet still gets its own delivery event (causality: the receiver
-   reacts at the exact arrival instant), but the per-packet tx-complete
-   event disappears; [Sim.charge_events] keeps the logical event count.
+   packet is still delivered by an event at its own key (causality: the
+   receiver reacts at the exact arrival instant; see the in-flight
+   ring), but the per-packet tx-complete event disappears;
+   [Sim.charge_events] keeps the logical event count.
 
    Invariants:
    - packets are materialized in FIFO order, with historical timestamps
@@ -169,25 +274,15 @@ and materialize_one t ~start ~charge =
       Sim_engine.Rng.float t.jitter_rng (Time.to_s t.jitter)
     else 0.0
   in
-  (* The delivery event must carry this packet — one event record per
-     packet is the irreducible cost of parallel propagation, the same
-     cost the eager path's [tx_complete] pays. *)
-  Sim.at t.sim
-    (Time.s (finish +. Time.to_s t.delay +. extra))
-    (deliver_ev t (pkt :> int) [@lint.allow "A1"]);
+  (* The packet joins the in-flight ring under the key a per-packet
+     event would have had. *)
+  let i = ring_push t ~seq:(Sim.reserve t.sim) pkt in
+  Float.Array.unsafe_set t.fl_time i (finish +. Time.to_s t.delay +. extra);
+  ring_settle t;
   (* The tx-complete event this materialization replaced, kept in the
      logical event count (budgets, events_executed). Not charged from
      stats accessors: reading a counter must never trip a budget. *)
   if charge then Sim.charge_events t.sim 1
-
-and deliver_event t pkt =
-  (* Earlier service starts are part of this instant's past: materialize
-     them first so hooks observe events in chronological order. *)
-  catch_up t ~charge:true;
-  emit t ~now:(Sim.now t.sim) Receive pkt;
-  t.in_flight <- t.in_flight - 1;
-  t.delivered <- t.delivered + 1;
-  t.deliver pkt
 
 (* Safety-net event: with no arrival or delivery to piggyback on, the
    next unmaterialized transmission must still be realized before its
@@ -211,8 +306,16 @@ let anchor_tick t =
   set_anchor_next t infinity;
   catch_up t ~charge:true
 
-let () =
-  set_deliver_ev (fun t pkt -> deliver_event t (Packet.unsafe_of_int pkt))
+(* The head of the in-flight ring reaches the far end. *)
+let deliver_tick t =
+  let pkt = ring_pop t in
+  (* Earlier service starts are part of this instant's past: materialize
+     them first so hooks observe events in chronological order. *)
+  catch_up t ~charge:true;
+  emit t ~now:(Sim.now t.sim) Receive pkt;
+  t.in_flight <- t.in_flight - 1;
+  t.delivered <- t.delivered + 1;
+  t.deliver pkt
 
 (* --- eager service ------------------------------------------------------ *)
 
@@ -247,23 +350,24 @@ let[@alloc.zero] tx_complete t =
   t.bytes_sent <- t.bytes_sent + Packet.size t.arena pkt;
   let extra =
     if Time.to_s t.jitter > 0.0 then
-      Time.s (Sim_engine.Rng.float t.jitter_rng (Time.to_s t.jitter))
-    else Time.zero
+      Sim_engine.Rng.float t.jitter_rng (Time.to_s t.jitter)
+    else 0.0
   in
-  (* A1: the delivery event must carry this packet while the server moves
-     on to the next one — one event record per packet is the irreducible
-     cost of parallel propagation (it was two per packet before
-     [tx_done]). *)
-  Sim.after t.sim (Time.add t.delay extra)
-    (deliver_ev t ((pkt :> int)) [@lint.allow "A1"]);
+  (* Propagation proceeds while the server moves on to the next packet:
+     the packet joins the in-flight ring, due [delay + extra] from now. *)
+  let i = ring_push t ~seq:(Sim.reserve t.sim) pkt in
+  Float.Array.unsafe_set t.fl_time i
+    (Sim.now t.sim +. (Time.to_s t.delay +. extra));
+  ring_settle t;
   start_transmission t
 
 (* Preallocated event kinds for the per-link singleton events: built
    once per link at create, rescheduled forever after. [unwired] fills
-   both slots while [create] builds the record the real events carry;
+   the slots while [create] builds the record the real events carry;
    it is replaced before the link is returned and never scheduled. *)
 let tx_kind = Event.define ~name:"link.tx" tx_complete
 let anchor_kind = Event.define ~name:"link.anchor" anchor_tick
+let deliver_kind = Event.define ~name:"link.deliver" deliver_tick
 
 let unwired =
   Event.define ~name:"link.unwired"
@@ -346,6 +450,12 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
       tx_done = unwired;
       anchor_ev = unwired;
       bs;
+      fl_time = Float.Array.create 0;
+      fl_seq = [||];
+      fl_pkt = [||];
+      fl_head = 0;
+      fl_len = 0;
+      deliver_ev = unwired;
       life_arrivals = 0;
       life_drops = 0;
       delivered = 0;
@@ -364,6 +474,7 @@ let create ?(jitter = Time.zero) ?(service = Batched) sim ~arena ~name
   in
   t.tx_done <- tx_kind t;
   t.anchor_ev <- anchor_kind t;
+  t.deliver_ev <- deliver_kind t;
   t
 
 let set_up t up =

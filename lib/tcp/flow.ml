@@ -9,6 +9,12 @@ module W = Tcp_window
 
 type delay_signal = [ `Rtt | `Owd ]
 
+(* The RTO timer's float plane (a [floatarray], so stores never box):
+   the deadline of the latest restart, and the time of the flow's
+   pending timer event — infinity when none is pending. *)
+let r_deadline = 0
+let r_pending = 1
+
 (* One full-sized segment, as charged against the receive buffer. *)
 let seg_bytes = Size.bytes Packet.mss
 
@@ -87,9 +93,13 @@ type t = {
   mutable max_sent : int;  (** highest sequence ever transmitted + 1 *)
   mutable max_sacked : int;  (** highest SACKed sequence, -1 if none *)
   mutable retx_scan : int;  (** next hole candidate during recovery *)
-  sacked : (int, unit) Hashtbl.t;
-  retx_done : (int, unit) Hashtbl.t;  (** holes retransmitted this recovery *)
-  mutable timer_gen : int;  (** cancels stale RTO timers *)
+  scoreboard : Scoreboard.t;  (** SACKed, and retransmitted this recovery *)
+  (* RTO timer, one pending event per flow: see [schedule_rto] *)
+  rto_plane : floatarray;  (** [r_deadline], [r_pending] *)
+  mutable rto_seq : int;  (** reserved tie-break of the deadline *)
+  mutable rto_armed : bool;
+  mutable rto_pending_seq : int;  (** key seq of the pending event *)
+  mutable rto_gen : int;  (** newest scheduled event; older ones are stale *)
   mutable peer_adv : W.Adv.t;  (** last window advertisement from the peer *)
   mutable in_persist : bool;  (** zero-window persist mode *)
   mutable persist_gen : int;  (** cancels stale persist timers *)
@@ -137,6 +147,7 @@ let cwnd t = t.window.Cc.Window.cwnd
 let ssthresh t = t.window.Cc.Window.ssthresh
 let snd_una t = t.snd_una
 let snd_next t = t.snd_next
+let pipe t = t.pipe
 let completed t = t.completed
 let aborted t = t.aborted
 let acked_pkts t = t.acked_pkts
@@ -242,7 +253,7 @@ let send_data t ~seq ~retransmit =
 let next_hole t =
   let rec go s =
     if s >= t.recovery_point then None
-    else if Hashtbl.mem t.sacked s || Hashtbl.mem t.retx_done s then go (s + 1)
+    else if Scoreboard.is_marked t.scoreboard s then go (s + 1)
     else if s + 3 > t.max_sacked then None (* not yet presumed lost *)
     else Some s
   in
@@ -255,18 +266,46 @@ let next_hole t =
 
 (* The RTO and persist timers are declared before the mutually recursive
    sender block that both schedules and handles them; the handlers are
-   installed right after it. The generation counter rides in the event's
-   unboxed int slot, so a pending timer marshals as (flow, gen) — the
-   same stale-timer cancellation works across a snapshot/restore. *)
+   installed right after it. A generation counter rides in the event's
+   unboxed int slot, so a pending timer marshals as (flow, gen) and the
+   stale-timer test works across a snapshot/restore. *)
 let rto_ev, set_rto_ev = Event.declare ~name:"flow.rto"
 let persist_ev, set_persist_ev = Event.declare ~name:"flow.persist"
 
-let rec restart_timer t =
-  t.timer_gen <- t.timer_gen + 1;
-  let gen = t.timer_gen in
-  Sim.after t.sim (Rto.value t.rto) (rto_ev t gen)
+let[@inline] rto_deadline t = Float.Array.unsafe_get t.rto_plane r_deadline
+let[@inline] rto_pending t = Float.Array.unsafe_get t.rto_plane r_pending
 
-and cancel_timer t = t.timer_gen <- t.timer_gen + 1
+let[@inline] set_rto_pending t v =
+  Float.Array.unsafe_set t.rto_plane r_pending v
+
+(* One RTO event per flow, as ns-2 keeps one timer per agent. Every
+   restart (once per new ACK) moves the deadline to [now + rto] and
+   draws the tie-break number that scheduling a timer event there would
+   take, so the timeout fires at the key [Sim.after] would have given
+   it. But a restart schedules nothing while the pending event fires at
+   or before the new deadline: that event, firing early, re-adds itself
+   at the deadline key (see the handler below). Only a deadline that
+   moved earlier than the pending event needs a new one, which makes the
+   old one stale. *)
+let schedule_rto t =
+  set_rto_pending t (rto_deadline t);
+  t.rto_pending_seq <- t.rto_seq;
+  Sim.at_reserved t.sim
+    (Units.Time.s (rto_deadline t))
+    ~seq:t.rto_seq (rto_ev t t.rto_gen)
+
+let rec restart_timer t =
+  t.rto_seq <- Sim.reserve t.sim;
+  Float.Array.unsafe_set t.rto_plane r_deadline
+    (Sim.now t.sim +. Units.Time.to_s (Rto.value t.rto));
+  t.rto_armed <- true;
+  if rto_pending t > rto_deadline t then begin
+    t.rto_gen <- t.rto_gen + 1;
+    schedule_rto t
+  end
+
+(* Disarm only: the pending event lapses when it fires. *)
+and cancel_timer t = t.rto_armed <- false
 
 and try_send t =
   if not t.stopped then begin
@@ -278,7 +317,7 @@ and try_send t =
       if t.in_recovery then begin
         match next_hole t with
         | Some hole ->
-            Hashtbl.replace t.retx_done hole ();
+            Scoreboard.mark_retx t.scoreboard hole;
             (* the lost original leaves the pipe as its replacement enters *)
             t.pipe <- max 0 (t.pipe - 1);
             send_data t ~seq:hole ~retransmit:true;
@@ -321,8 +360,7 @@ and on_timeout t =
   w.Cc.Window.in_slow_start <- true;
   t.in_recovery <- false;
   t.dupacks <- 0;
-  Hashtbl.reset t.sacked;
-  Hashtbl.reset t.retx_done;
+  Scoreboard.clear t.scoreboard;
   t.max_sacked <- -1;
   (* Go-back-N: rewind and let the window clock out retransmissions. *)
   t.snd_next <- t.snd_una;
@@ -388,11 +426,19 @@ and abort_connection t =
   end
 
 (* Timer handlers, installed now that the recursive sender block exists.
-   The generation guards are exactly the ones the old closures carried. *)
+   An RTO event that a newer one replaced does nothing. The pending one
+   either fires before the deadline key, and re-adds itself there, or at
+   exactly that key, where the timeout is due. *)
 let () =
   set_rto_ev (fun t gen ->
-      if gen = t.timer_gen && (not t.stopped) && outstanding t > 0 then
-        on_timeout t);
+      if gen = t.rto_gen then
+        if not t.rto_armed then set_rto_pending t infinity
+        else if t.rto_pending_seq <> t.rto_seq then schedule_rto t
+        else begin
+          set_rto_pending t infinity;
+          t.rto_armed <- false;
+          if (not t.stopped) && outstanding t > 0 then on_timeout t
+        end);
   set_persist_ev (fun t gen ->
       if gen = t.persist_gen && t.in_persist && not t.stopped then begin
         send_probe t;
@@ -408,30 +454,24 @@ let start_ev =
 
 (* --- sender ------------------------------------------------------------ *)
 
-(* Returns how many previously unknown segments the blocks SACK. *)
-let record_sack t blocks =
-  let fresh = ref 0 in
-  List.iter
-    (fun (lo, hi) ->
-      for s = lo to hi - 1 do
-        if s >= t.snd_una && not (Hashtbl.mem t.sacked s) then begin
-          Hashtbl.replace t.sacked s ();
-          if s > t.max_sacked then t.max_sacked <- s;
-          incr fresh
-        end
-      done)
-    blocks;
-  !fresh
+(* Returns how many previously unknown segments the blocks SACK. A block
+   reports data the peer received (RFC 2018), which lies in
+   [snd_una, max_sent): each is clamped to that range first, so a forged
+   block can neither free pipe space for data never sent nor cost more
+   than the send window to walk. *)
+let rec record_sack t fresh = function
+  | [] -> fresh
+  | (lo, hi) :: rest ->
+      let hi = Int.min hi t.max_sent in
+      record_sack t (sack_range t (Int.max lo t.snd_una) hi fresh) rest
 
-(* Returns how many entries were purged (needed for pipe accounting on a
-   cumulative advance). *)
-let purge_sacked_below t seq =
-  (* Collect first: removing during Hashtbl.iter is unspecified. *)
-  let dead =
-    Hashtbl.fold (fun s () acc -> if s < seq then s :: acc else acc) t.sacked []
-  in
-  List.iter (fun s -> Hashtbl.remove t.sacked s) dead;
-  List.length dead
+and sack_range t s hi fresh =
+  if s >= hi then fresh
+  else if Scoreboard.mark_sacked t.scoreboard s then begin
+    if s > t.max_sacked then t.max_sacked <- s;
+    sack_range t (s + 1) hi (fresh + 1)
+  end
+  else sack_range t (s + 1) hi fresh
 
 let apply_reduction t factor ~now =
   let w = t.window in
@@ -444,7 +484,7 @@ let enter_recovery t ~now =
   t.in_recovery <- true;
   t.recovery_point <- t.snd_next;
   t.retx_scan <- t.snd_una;
-  Hashtbl.reset t.retx_done;
+  Scoreboard.clear_retx t.scoreboard;
   t.fast_recoveries <- t.fast_recoveries + 1;
   note_loss_event t;
   let w = t.window in
@@ -514,7 +554,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
      A reopened window ends the persist episode. *)
   if ack >= t.snd_una then t.peer_adv <- W.Adv.of_field wnd_field;
   if t.in_persist && peer_limit_pkts t > 0 then exit_persist t;
-  let fresh_sacked = record_sack t sack in
+  let fresh_sacked = record_sack t 0 sack in
   t.pipe <- max 0 (t.pipe - fresh_sacked);
   (* ECN echo: one multiplicative decrease per RTT, no retransmission. *)
   if
@@ -535,7 +575,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
     (* A timeout may have rewound snd_next below data still in flight;
        a later ACK for that data must not leave snd_next behind. *)
     if t.snd_next < t.snd_una then t.snd_next <- t.snd_una;
-    let purged = purge_sacked_below t ack in
+    let purged = Scoreboard.advance t.scoreboard ack in
     (* The purged segments already left the pipe when they were SACKed;
        the rest of the range leaves it now. *)
     t.pipe <- max 0 (t.pipe - (newly_acked - purged));
@@ -550,7 +590,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
       if ack >= t.recovery_point then begin
         (* Full ACK: leave recovery at the halved window. *)
         t.in_recovery <- false;
-        Hashtbl.reset t.retx_done;
+        Scoreboard.clear_retx t.scoreboard;
         t.window.Cc.Window.cwnd <- t.window.Cc.Window.ssthresh
       end
       (* Partial ACK: try_send below clocks out the next hole(s). *)
@@ -821,9 +861,12 @@ let create topo ~src ~dst ~cc ?(ecn = false) ?total_pkts ?start
       max_sent = 0;
       max_sacked = -1;
       retx_scan = 0;
-      sacked = Hashtbl.create 64;
-      retx_done = Hashtbl.create 64;
-      timer_gen = 0;
+      scoreboard = Scoreboard.create ();
+      rto_plane = Float.Array.make 2 infinity;
+      rto_seq = 0;
+      rto_armed = false;
+      rto_pending_seq = 0;
+      rto_gen = 0;
       (* the peer's initial advertisement, learned from the SYN *)
       peer_adv = W.advertised rcv_space;
       in_persist = false;
@@ -933,7 +976,7 @@ let debug_state t =
     "una=%d next=%d pipe=%d cwnd=%.2f ssthresh=%.2f dupacks=%d rec=%b rp=%d sacked=%d stopped=%b persist=%b peer_adv=%d"
     t.snd_una t.snd_next t.pipe t.window.Cc.Window.cwnd
     t.window.Cc.Window.ssthresh t.dupacks t.in_recovery t.recovery_point
-    (Hashtbl.length t.sacked) t.stopped t.in_persist
+    (Scoreboard.sacked t.scoreboard) t.stopped t.in_persist
     (W.Adv.to_field t.peer_adv)
 
 let audit_check t =

@@ -66,6 +66,13 @@ val cwnd : t -> float
 val ssthresh : t -> float
 val snd_una : t -> int
 val snd_next : t -> int
+
+val pipe : t -> int
+(** The sender's estimate of segments in flight (RFC 6675 "pipe"):
+    transmissions not yet cumulatively ACKed or SACKed, less the
+    presumed-lost originals of recovery retransmissions. New data goes
+    out only while it is below the window. *)
+
 val completed : t -> bool
 
 val aborted : t -> bool

@@ -454,6 +454,29 @@ let sim_rejects_past () =
     (Invalid_argument "Sim.after: negative delay") (fun () ->
       Sim.after sim (ts (-1.0)) (thunk ignore))
 
+(* A reserved number keeps an event's place among equal-time events
+   however late it is inserted, under either scheduler; [pending]
+   counts what is queued. *)
+let sim_reserved_keys () =
+  List.iter
+    (fun scheduler ->
+      let sim = Sim.create ~scheduler () in
+      let log = ref [] in
+      let ev n = thunk (fun () -> log := n :: !log) in
+      let first = Sim.reserve sim in
+      Sim.at sim (ts 1.0) (ev 2);
+      Sim.after sim (ts 1.0) (ev 3);
+      check_int "two pending" 2 (Sim.pending sim);
+      Sim.at_reserved sim (ts 1.0) ~seq:first (ev 1);
+      check_int "three pending" 3 (Sim.pending sim);
+      Sim.run sim;
+      Alcotest.(check (list int)) "reserved order" [ 1; 2; 3 ] (List.rev !log);
+      check_int "drained" 0 (Sim.pending sim);
+      Alcotest.check_raises "reserved time in the past"
+        (Invalid_argument "Sim.at: time 0.5 is before now 1") (fun () ->
+          Sim.at_reserved sim (ts 0.5) ~seq:(Sim.reserve sim) (ev 4)))
+    [ `Heap; `Wheel ]
+
 let sim_counts_events () =
   let sim = Sim.create () in
   for i = 1 to 7 do
@@ -935,6 +958,7 @@ let suite =
     ("sim every + stop", `Quick, sim_every_and_stop);
     ("sim rejects past/negative", `Quick, sim_rejects_past);
     ("sim counts events", `Quick, sim_counts_events);
+    ("sim reserved keys", `Quick, sim_reserved_keys);
     ("rng determinism", `Quick, rng_determinism);
     ("rng split", `Quick, rng_split_independence);
     ("rng ranges", `Quick, rng_ranges);

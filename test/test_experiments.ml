@@ -314,8 +314,31 @@ let ablation_decrease_direction () =
       check_bool "f=0.5 queue below f=0.2 queue" true (q r50 < q r20)
   | _ -> Alcotest.fail "expected three rows"
 
+(* The scheduler's pending set scales with links plus flows, not with
+   packets in flight: each link keeps one delivery event pending however
+   many packets are on its wire, and each flow one RTO event however
+   many ACKs restarted it. *)
+let pending_events_scale_with_links_and_flows () =
+  let built = Dumbbell.build Dumbbell.default in
+  let sim = Netsim.Topology.sim built.Dumbbell.topo in
+  let links = List.length (Netsim.Topology.links built.Dumbbell.topo) in
+  let flows =
+    List.length built.Dumbbell.forward_flows + List.length built.Dumbbell.reverse
+  in
+  let peak = ref 0 in
+  Test_support.ticker sim ~start:(Units.Time.s 0.0) (Units.Time.s 0.01)
+    (fun () -> peak := max !peak (Sim_engine.Sim.pending sim));
+  Sim_engine.Sim.run ~until:(Units.Time.s 5.0) sim;
+  let bound = (2 * links) + (2 * flows) + 8 in
+  check_bool
+    (Printf.sprintf "peak %d pending <= %d (%d links, %d flows)" !peak bound
+       links flows)
+    true (!peak <= bound)
+
 let suite =
   [
+    ("pending events scale with links and flows", `Quick,
+      pending_events_scale_with_links_and_flows);
     ("schemes names/ecn", `Quick, schemes_names_and_ecn);
     ("schemes disc kinds", `Quick, schemes_disc_kinds);
     ("dumbbell bdp rule", `Quick, bdp_rule);

@@ -587,6 +587,48 @@ let link_eager_matches_batched () =
   check_int "no leaked packets (eager)" 0 live_e;
   check_int "no leaked packets (batched)" 0 live_b
 
+(* The same equivalence with per-packet jitter, which reorders
+   deliveries: both services draw the jitter in transmission order, so
+   they must deliver the same (seq, time) sequence, in time order. *)
+let link_eager_matches_batched_jittered () =
+  let run service =
+    let sim = Sim.create ~seed:5 () in
+    let a = Packet.create_arena () in
+    let link =
+      Link.create ~jitter:(ts 0.02) ~service sim ~arena:a ~name:"j"
+        ~bandwidth:(Units.Rate.bps 1e7) ~delay:(ts 0.001)
+        ~disc:(Droptail.create ~limit_pkts:100)
+    in
+    let deliveries = ref [] in
+    Link.set_deliver link (fun p ->
+        deliveries := (Packet.seq a p, Sim.now sim) :: !deliveries;
+        Packet.free a p);
+    let send_burst t0 n base =
+      Sim.at sim (ts t0) (thunk (fun () ->
+          for i = 0 to n - 1 do
+            Link.send link (mk_data ~seq:(base + i) a)
+          done))
+    in
+    send_burst 0.0 40 0;
+    send_burst 0.01 10 100;  (* lands mid-service *)
+    send_burst 0.2 5 200;  (* restart after a fully idle period *)
+    Sim.run sim;
+    (match Link.conservation_error link with
+    | None -> ()
+    | Some e -> Alcotest.fail e);
+    (List.rev !deliveries, Packet.live a)
+  in
+  let d_e, live_e = run Link.Eager in
+  let d_b, live_b = run Link.Batched in
+  Alcotest.(check (list (pair int (float 1e-12))))
+    "identical deliveries" d_e d_b;
+  check_int "all delivered" 55 (List.length d_b);
+  let seqs = List.map fst d_b and times = List.map snd d_b in
+  check_bool "jitter reordered" true (seqs <> List.sort compare seqs);
+  check_bool "times nondecreasing" true (times = List.sort compare times);
+  check_int "no leaked packets (eager)" 0 live_e;
+  check_int "no leaked packets (batched)" 0 live_b
+
 let rem_default_params_sane () =
   let p = Rem.default_params ~capacity_pps:1000.0 in
   check_bool "phi > 1" true (p.Rem.phi > 1.0);
@@ -766,6 +808,8 @@ let suite =
     ("link drop trace", `Quick, link_drop_trace);
     ("link queue trace", `Quick, link_queue_trace_lookup);
     ("link eager matches batched", `Quick, link_eager_matches_batched);
+    ("link eager matches batched, jittered", `Quick,
+      link_eager_matches_batched_jittered);
     ("topology routing chain", `Quick, topology_routing_chain);
     ("topology shortest path", `Quick, topology_shortest_path);
     ("node agent demux", `Quick, node_agent_demux);

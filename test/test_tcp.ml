@@ -643,6 +643,207 @@ let reliable_delivery_under_random_loss =
 let qsuite =
   List.map QCheck_alcotest.to_alcotest [ reliable_delivery_under_random_loss ]
 
+(* --- Scoreboard ------------------------------------------------------------------ *)
+
+let scoreboard_counts_and_growth () =
+  let sb = Scoreboard.create () in
+  check_int "no storage before the first mark" 0 (Scoreboard.capacity sb);
+  check_bool "first SACK is news" true (Scoreboard.mark_sacked sb 3);
+  check_bool "a repeat is not" false (Scoreboard.mark_sacked sb 3);
+  Scoreboard.mark_retx sb 1;
+  Scoreboard.mark_retx sb 1;
+  Scoreboard.mark_retx sb 3;
+  let cap = Scoreboard.capacity sb in
+  check_bool "allocated" true (cap > 0);
+  check_bool "far mark is news" true (Scoreboard.mark_sacked sb (cap + 10));
+  check_bool "grew to cover it" true (Scoreboard.capacity sb > cap + 10);
+  check_bool "marks survive growth" true
+    (Scoreboard.is_marked sb 1 && Scoreboard.is_marked sb 3);
+  check_bool "retransmitted is not SACKed" true (Scoreboard.mark_sacked sb 1);
+  check_bool "unmarked" false (Scoreboard.is_marked sb 2);
+  check_int "sacked count" 3 (Scoreboard.sacked sb);
+  check_int "retransmitted count" 2 (Scoreboard.retransmitted sb)
+
+let scoreboard_wraps_after_advance () =
+  let sb = Scoreboard.create () in
+  ignore (Scoreboard.mark_sacked sb 0);
+  let cap = Scoreboard.capacity sb in
+  for s = 1 to cap - 1 do
+    if s mod 2 = 0 then ignore (Scoreboard.mark_sacked sb s)
+  done;
+  (* Slide a full window, every even number SACKed, three times around
+     the ring: the slots the base leaves behind are reused above it. *)
+  for k = 1 to 3 * cap do
+    check_int "advance drops what it passes"
+      (if (k - 1) mod 2 = 0 then 1 else 0)
+      (Scoreboard.advance sb k);
+    let top = k + cap - 1 in
+    if top mod 2 = 0 then
+      check_bool "fresh at the top" true (Scoreboard.mark_sacked sb top)
+  done;
+  check_int "no growth" cap (Scoreboard.capacity sb);
+  let base = 3 * cap in
+  for s = base to base + cap - 1 do
+    check_bool "window contents" (s mod 2 = 0) (Scoreboard.is_marked sb s)
+  done;
+  check_bool "below the base reads unmarked" false
+    (Scoreboard.is_marked sb (base - 2));
+  check_int "count" (cap / 2) (Scoreboard.sacked sb);
+  check_int "a jump past the ring drops everything" (cap / 2)
+    (Scoreboard.advance sb (base + (5 * cap)));
+  check_int "empty" 0 (Scoreboard.sacked sb)
+
+let scoreboard_clear_retx_and_clear () =
+  let sb = Scoreboard.create () in
+  List.iter (fun s -> ignore (Scoreboard.mark_sacked sb s)) [ 4; 5; 9 ];
+  List.iter (Scoreboard.mark_retx sb) [ 2; 3; 5 ];
+  Scoreboard.clear_retx sb;
+  check_int "retransmitted marks gone" 0 (Scoreboard.retransmitted sb);
+  check_int "SACK marks kept" 3 (Scoreboard.sacked sb);
+  check_bool "5 still SACKed" true (Scoreboard.is_marked sb 5);
+  check_bool "2 is a hole again" false (Scoreboard.is_marked sb 2);
+  Scoreboard.mark_retx sb 2;
+  check_int "advance counts only SACKed marks" 2 (Scoreboard.advance sb 6);
+  check_int "retransmitted mark dropped" 0 (Scoreboard.retransmitted sb);
+  Alcotest.check_raises "below the base"
+    (Invalid_argument "Scoreboard: number below the base") (fun () ->
+      ignore (Scoreboard.mark_sacked sb 5));
+  Scoreboard.clear sb;
+  check_int "cleared" 0 (Scoreboard.sacked sb);
+  check_bool "9 forgotten" false (Scoreboard.is_marked sb 9);
+  check_bool "news again" true (Scoreboard.mark_sacked sb 9)
+
+(* --- scripted segment exchanges --------------------------------------------------
+
+   The sender alone, driven by hand. Its data segments are recorded as
+   they enter the first link and swallowed at the far end, so the only
+   ACKs it ever sees are the ones a test injects through Node.receive.
+   [ack] injects one and returns what the sender emitted in response, as
+   (seq, retransmit) pairs in sending order. NewReno, no RTT samples (the
+   injected ACKs echo no timestamp) and a 10-segment initial window, so
+   every window is known in advance. *)
+
+type script = {
+  sc_sim : Sim.t;
+  sc_arena : Packet.arena;
+  sc_src : Netsim.Node.t;
+  sc_flow : Flow.t;
+  mutable sc_sent : (int * bool) list;  (* newest first *)
+}
+
+let script () =
+  let sim = Sim.create ~seed:3 () in
+  let topo = T.create sim in
+  let src = T.add_node topo and dst = T.add_node topo in
+  let a = T.arena topo in
+  let fwd, _ =
+    T.add_duplex topo ~a:src ~b:dst ~bandwidth:(Units.Rate.bps 1e9)
+      ~delay:(ts 0.001)
+      ~disc_ab:(Netsim.Droptail.create ~limit_pkts:10_000)
+      ~disc_ba:(Netsim.Droptail.create ~limit_pkts:10_000)
+  in
+  T.compute_routes topo;
+  let flow =
+    Flow.create topo ~src ~dst ~cc:(Cc.newreno ()) ~initial_cwnd:10.0 ()
+  in
+  let sc = { sc_sim = sim; sc_arena = a; sc_src = src; sc_flow = flow; sc_sent = [] } in
+  Link.set_event_hook fwd (fun ~now:_ ev p ->
+      if ev = Link.Enqueue && Packet.kind a p = Packet.Data then
+        sc.sc_sent <- (Packet.seq a p, Packet.retransmit a p) :: sc.sc_sent);
+  Link.interpose_deliver fwd (fun _ p -> Packet.free a p);
+  sc
+
+let take_sent sc =
+  let sent = List.rev sc.sc_sent in
+  sc.sc_sent <- [];
+  sent
+
+let ack sc ~ack ~sack =
+  let a = sc.sc_arena in
+  let pkt =
+    Packet.ack a ~flow:(Flow.id sc.sc_flow) ~src:(-1)
+      ~dst:(Netsim.Node.id sc.sc_src) ~ack ~sack ~ecn_echo:false
+      ~ts_echo:Float.nan ~window:65535 ~now:(Sim.now sc.sc_sim) ()
+  in
+  ignore (take_sent sc);
+  Netsim.Node.receive sc.sc_src pkt;
+  take_sent sc
+
+let check_sent = Alcotest.(check (list (pair int bool)))
+
+(* Run the script to just after the initial window went out. *)
+let script_started () =
+  let sc = script () in
+  Sim.run ~until:(ts 0.01) sc.sc_sim;
+  check_sent "initial window"
+    (List.init 10 (fun i -> (i, false)))
+    (take_sent sc);
+  sc
+
+(* Segments 0 and 1 are lost; 2..9 arrive and are SACKed one dupack at a
+   time, each freeing a pipe slot for new data, until the third dupack
+   enters recovery at half the window. *)
+let script_in_recovery () =
+  let sc = script_started () in
+  check_sent "dupack 1 clocks out new data" [ (10, false) ]
+    (ack sc ~ack:0 ~sack:[ (2, 3) ]);
+  check_sent "dupack 2 clocks out new data" [ (11, false) ]
+    (ack sc ~ack:0 ~sack:[ (2, 4) ]);
+  check_sent "dupack 3 enters recovery, pipe 9 above cwnd 5" []
+    (ack sc ~ack:0 ~sack:[ (2, 5) ]);
+  check_float_eps 0.0 "cwnd halved" 5.0 (Flow.cwnd sc.sc_flow);
+  check_int "pipe" 9 (Flow.pipe sc.sc_flow);
+  sc
+
+let sack_retransmits_lowest_lost_holes () =
+  let sc = script_in_recovery () in
+  (* SACKing 5..9 empties the pipe to 4. Holes are retransmitted from the
+     bottom, each replacing its lost original in the pipe; 10 and 11 are
+     not yet presumed lost (fewer than three SACKed above them), so the
+     last slot goes to new data. *)
+  check_sent "holes 0 and 1, then new data"
+    [ (0, true); (1, true); (12, false) ]
+    (ack sc ~ack:0 ~sack:[ (2, 10) ]);
+  check_int "pipe back at cwnd" 5 (Flow.pipe sc.sc_flow);
+  check_sent "a repeated SACK frees nothing" []
+    (ack sc ~ack:0 ~sack:[ (2, 10) ]);
+  check_int "retransmissions" 2 (Flow.retransmissions sc.sc_flow)
+
+let sack_purge_keeps_pipe () =
+  let sc = script_in_recovery () in
+  ignore (ack sc ~ack:0 ~sack:[ (2, 10) ]);
+  (* Partial ACK for the two retransmitted holes: 0 and 1 leave the pipe
+     (5 -> 3), none of them was SACKed, so two new segments go out. *)
+  check_sent "partial ACK" [ (13, false); (14, false) ]
+    (ack sc ~ack:2 ~sack:[ (2, 10) ]);
+  check_int "pipe after partial ACK" 5 (Flow.pipe sc.sc_flow);
+  (* Full ACK through 11: of the ten segments it covers, the eight
+     SACKed ones (2..9) already left the pipe, so only 10 and 11 leave
+     it now (5 -> 3) and recovery ends at cwnd 5: two new segments. *)
+  check_sent "full ACK" [ (15, false); (16, false) ]
+    (ack sc ~ack:12 ~sack:[]);
+  check_int "pipe equals outstanding" 5 (Flow.pipe sc.sc_flow);
+  check_int "outstanding" 5
+    (Flow.snd_next sc.sc_flow - Flow.snd_una sc.sc_flow);
+  check_int "no timeout" 0 (Flow.timeouts sc.sc_flow)
+
+let sack_scoreboard_reset_on_timeout () =
+  let sc = script_started () in
+  check_sent "dupack SACKing 2" [ (10, false) ]
+    (ack sc ~ack:0 ~sack:[ (2, 3) ]);
+  (* No further ACK: the 1 s initial RTO fires, the window collapses to
+     one segment and the sender goes back to snd_una. *)
+  Sim.run ~until:(ts 1.5) sc.sc_sim;
+  check_int "one timeout" 1 (Flow.timeouts sc.sc_flow);
+  check_sent "go-back-N from snd_una" [ (0, true) ] (take_sent sc);
+  check_int "pipe after timeout" 1 (Flow.pipe sc.sc_flow);
+  (* The timeout forgot every SACK: the same block is fresh news again
+     and frees the one pipe slot, which the go-back-N sender fills with
+     the next segment. *)
+  check_sent "SACK after the timeout counts again" [ (1, true) ]
+    (ack sc ~ack:0 ~sack:[ (2, 3) ]);
+  check_int "pipe" 1 (Flow.pipe sc.sc_flow)
+
 let suite =
   [
     ("rto initial/first sample", `Quick, rto_initial_and_first_sample);
@@ -679,5 +880,11 @@ let suite =
     ("initial cwnd", `Quick, initial_cwnd_respected);
     ("flow stop detaches", `Quick, flow_stop_detaches);
     ("deterministic replay", `Quick, deterministic_replay);
+    ("scoreboard counts and growth", `Quick, scoreboard_counts_and_growth);
+    ("scoreboard wraps after advance", `Quick, scoreboard_wraps_after_advance);
+    ("scoreboard clear_retx and clear", `Quick, scoreboard_clear_retx_and_clear);
+    ("sack: lowest lost holes first", `Quick, sack_retransmits_lowest_lost_holes);
+    ("sack: purge keeps pipe", `Quick, sack_purge_keeps_pipe);
+    ("sack: scoreboard reset on timeout", `Quick, sack_scoreboard_reset_on_timeout);
   ]
   @ qsuite

@@ -242,6 +242,31 @@ let corrupted_segments_hit_the_gate () =
   check_bool "flow unharmed" false (Flow.aborted flow);
   check_int "no real RSTs recorded" 0 (Flow.rsts_received flow)
 
+(* A SACK block beyond anything sent describes no received data (RFC
+   2018): it must not free pipe space or mark anything lost. Forged here
+   as one ACK that SACKs 1000 segments starting ten past snd_next. *)
+let sack_beyond_snd_next_is_ignored () =
+  let fx = fixture () in
+  let flow =
+    Flow.create fx.topo ~src:fx.src ~dst:fx.dst ~cc:(Cc.newreno ()) ()
+  in
+  Sim.at fx.sim (ts 0.5) (thunk (fun () ->
+      let una = Flow.snd_una flow and next = Flow.snd_next flow in
+      let retx = Flow.retransmissions flow in
+      check_bool "data in flight" true (next > una);
+      let a = T.arena fx.topo in
+      let forged =
+        Packet.ack a ~flow:(Flow.id flow) ~src:(-1) ~dst:(Node.id fx.src)
+          ~ack:una ~sack:[ (next + 10, next + 1010) ] ~ecn_echo:false
+          ~ts_echo:Float.nan ~window:65535 ~now:(Sim.now fx.sim) ()
+      in
+      Node.receive fx.src forged;
+      check_int "outstanding unchanged" (next - una)
+        (Flow.snd_next flow - Flow.snd_una flow);
+      check_int "no retransmission" retx (Flow.retransmissions flow)));
+  Sim.run ~until:(ts 1.0) fx.sim;
+  check_bool "flow unharmed" false (Flow.aborted flow)
+
 (* The Fault layer delivers corrupted packets (marked) instead of
    silently dropping them; the endpoint gate must account for every one. *)
 let fault_corruption_is_delivered_and_rejected () =
@@ -414,6 +439,8 @@ let suite =
     ( "adversarial family is byte-identical across job counts and resume",
       `Slow,
       adversarial_family_deterministic );
+    ("a SACK block beyond snd_next is ignored", `Quick,
+      sack_beyond_snd_next_is_ignored);
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
