@@ -44,12 +44,17 @@ let flow_rtts n =
    fig2/fig3/fig4. Safe despite being toplevel state: keys fully determine
    the deterministic simulation that fills them, so a hit returns exactly
    what a fresh run would produce. Guarded because Registry.run_many fans
-   figures out across domains (pertscan S1), so lookups and inserts can
-   race; a duplicate miss merely recomputes the same trace. Snapshot-
-   opaque for the same reason (pertscan S5): a checkpoint restored in a
-   fresh process starts with the cache empty and simply refills it. *)
+   figures out across domains (pertscan S1): fig2 and fig3 start together
+   on a two-domain pool and ask for the same traces, so a key is claimed
+   ([Collecting]) before its simulation runs, and a second asker waits
+   for it rather than simulating it again, so each trace is simulated
+   once at any [-j]. Snapshot-opaque for the same reason (pertscan S5):
+   a checkpoint restored in a fresh process starts with the cache empty
+   and simply refills it. *)
+type slot = Collecting | Collected of Trace.t
+
 let[@lint.allow "D3"] [@snapshot.opaque] cache :
-    (Scale.t * int, Trace.t) Hashtbl.t Parallel.Guard.t =
+    (Scale.t * int, slot) Hashtbl.t Parallel.Guard.t =
   Parallel.Guard.create (Hashtbl.create 16)
 
 let collect_uncached scale case =
@@ -98,20 +103,39 @@ let collect_uncached scale case =
       Link.queue_at built.Dumbbell.bottleneck (Units.Time.s t) /. limit)
     ()
 
-(* The lock is never held across a simulation: look up, run unlocked on a
-   miss, insert. Two domains missing the same key both simulate and the
-   later [replace] wins — identical payloads, so the cache stays
-   deterministic. *)
+(* The lock is never held across a simulation: claim the key, run
+   unlocked, publish. A collection that raises gives its claim back, so a
+   waiter wakes up, finds the key free and runs it itself. *)
 let collect scale case =
-  match
-    Parallel.Guard.with_ cache (fun tbl -> Hashtbl.find_opt tbl (scale, case.id))
-  with
+  let key = (scale, case.id) in
+  let found =
+    Parallel.Guard.with_ cache (fun tbl ->
+        let rec lookup () =
+          match Hashtbl.find_opt tbl key with
+          | Some (Collected trace) -> Some trace
+          | Some Collecting ->
+              Parallel.Guard.wait cache;
+              lookup ()
+          | None ->
+              Hashtbl.replace tbl key Collecting;
+              None
+        in
+        lookup ())
+  in
+  match found with
   | Some trace -> trace
   | None ->
-      let trace = collect_uncached scale case in
-      Parallel.Guard.with_ cache (fun tbl ->
-          Hashtbl.replace tbl (scale, case.id) trace);
-      trace
+      Fun.protect
+        ~finally:(fun () ->
+          Parallel.Guard.with_ cache (fun tbl ->
+              match Hashtbl.find_opt tbl key with
+              | Some Collecting -> Hashtbl.remove tbl key
+              | Some (Collected _) | None -> ()))
+        (fun () ->
+          let trace = collect_uncached scale case in
+          Parallel.Guard.with_ cache (fun tbl ->
+              Hashtbl.replace tbl key (Collected trace));
+          trace)
 
 let observed_threshold = 0.005 (* 65 ms on a 60 ms path *)
 

@@ -163,7 +163,8 @@ let run_many ~ctx scale exps =
   | _ :: _ when ctx.Runner.jobs <= 1 ->
       List.map (fun e -> (e, e.run ~ctx scale)) exps
   | _ :: _ ->
-      (* Registry-level fan-out: one task per experiment, each run
+      (* Registry-level fan-out: one task per experiment on [jobs]
+         worker domains while this domain waits, each experiment run
          sequentially inside (coarse granularity beats nested pools).
          The child ctx keeps the store, budgets and retry policy. *)
       let inner = Runner.sequential ctx in

@@ -1,28 +1,25 @@
 type history = int -> float -> float
 
 (* Dense storage of the trajectory: step k holds x(t0 + k dt). History
-   lookups interpolate linearly; times before t0 use the initial history. *)
+   lookups interpolate linearly; times before t0 use the initial history.
+   [run] knows the step count up front and sizes the store for every
+   step, so it is allocated once rather than doubled through a chain of
+   dead arrays that the GC must sweep. *)
 type store = {
   dim : int;
   t0 : float;
   dt : float;
-  mutable data : float array;  (* row-major: step * dim + var *)
+  data : float array;  (* row-major: step * dim + var *)
   mutable steps : int;  (* number of stored steps *)
   initial : history;
 }
 
-let store_create ~dim ~t0 ~dt ~init ~initial =
-  let data = Array.make (1024 * dim) 0.0 in
+let store_create ~dim ~t0 ~dt ~init ~initial ~steps =
+  let data = Array.make (steps * dim) 0.0 in
   Array.blit init 0 data 0 dim;
   { dim; t0; dt; data; steps = 1; initial }
 
 let store_push st x =
-  let needed = (st.steps + 1) * st.dim in
-  if needed > Array.length st.data then begin
-    let data = Array.make (2 * Array.length st.data) 0.0 in
-    Array.blit st.data 0 data 0 (st.steps * st.dim);
-    st.data <- data
-  end;
   Array.blit x 0 st.data (st.steps * st.dim) st.dim;
   st.steps <- st.steps + 1
 
@@ -50,9 +47,9 @@ let run ~stepper ~f ~init ?initial_history ~t0 ~t1 ~dt ?(record_every = 1) () =
   let initial =
     match initial_history with Some h -> h | None -> fun i _ -> init.(i)
   in
-  let st = store_create ~dim ~t0 ~dt ~init ~initial in
-  let hist i tau = store_lookup st i tau in
   let nsteps = Units.Round.ceil ((t1 -. t0) /. dt) in
+  let st = store_create ~dim ~t0 ~dt ~init ~initial ~steps:(nsteps + 1) in
+  let hist i tau = store_lookup st i tau in
   let nrec = (nsteps / record_every) + 1 in
   let times = Array.make nrec 0.0 in
   let series = Array.init dim (fun _ -> Array.make nrec 0.0) in

@@ -1,11 +1,14 @@
 (* Work-queue domain pool. See the .mli for the determinism contract.
 
    Shape: one shared FIFO of closures guarded by a mutex + condition;
-   [jobs - 1] worker domains block on the condition and drain the queue;
-   each submitted task fills a per-future slot and signals its own
-   condition. The submitting domain blocks in [await], so the pool keeps
-   at most [jobs] domains busy in steady state (workers + the submitter
-   only while it still has tasks to enqueue).
+   worker domains block on the condition and drain the queue; each
+   submitted task fills a per-future slot and signals its own condition.
+   Workers are spawned on demand, by the owning domain: each [submit]
+   spawns one more while fewer than [jobs] exist, so [-j N] keeps N
+   domains busy and a pool that never receives a task spawns none. The
+   submitting domain only enqueues and then blocks in [await]; it never
+   runs a task, so no task's heap outlives [shutdown] on a live domain
+   (OCaml 5.1's [Gc.quick_stat] sums the heap maxima of live domains).
 
    Results are deterministic by construction: the queue is FIFO, every
    task runs exactly once, and [map] reads futures back in submission
@@ -56,20 +59,14 @@ let rec worker_loop t =
   end
 
 let create ~jobs =
-  let jobs = max 1 jobs in
-  let t =
-    {
-      mutex = Mutex.create ();
-      work_available = Condition.create ();
-      pending = Queue.create ();
-      accepting = true;
-      workers = [];
-      jobs;
-    }
-  in
-  if jobs > 1 then
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
-  t
+  {
+    mutex = Mutex.create ();
+    work_available = Condition.create ();
+    pending = Queue.create ();
+    accepting = true;
+    workers = [];
+    jobs = max 1 jobs;
+  }
 
 let run_task f =
   match f () with
@@ -104,6 +101,11 @@ let submit t f =
     Queue.push job t.pending;
     Condition.signal t.work_available;
     Mutex.unlock t.mutex;
+    (* Spawn outside the lock, so a worker woken above can take the task
+       while the new domain starts. [workers] is only ever touched here
+       and in [shutdown], both on the owning domain. *)
+    if List.length t.workers < t.jobs then
+      t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers;
     fut
   end
 
@@ -143,7 +145,7 @@ let map ~jobs f xs =
   | [ x ] -> [ run_wrapped 0 f x ]
   | xs when jobs <= 1 -> List.mapi (fun index x -> run_wrapped index f x) xs
   | xs ->
-      let pool = create ~jobs:(min jobs (List.length xs)) in
+      let pool = create ~jobs in
       Fun.protect
         ~finally:(fun () -> shutdown pool)
         (fun () ->
@@ -157,10 +159,20 @@ let map ~jobs f xs =
             futures)
 
 module Guard = struct
-  type 'a t = { g_mutex : Mutex.t; g_value : 'a }
+  type 'a t = { g_mutex : Mutex.t; g_changed : Condition.t; g_value : 'a }
 
-  let create v = { g_mutex = Mutex.create (); g_value = v }
-  let with_ g f = Mutex.protect g.g_mutex (fun () -> f g.g_value)
+  let create v =
+    { g_mutex = Mutex.create (); g_changed = Condition.create (); g_value = v }
+
+  (* Every critical section may have changed the value, so each one wakes
+     the domains parked in [wait] on its way out, raising or not. *)
+  let with_ g f =
+    Mutex.protect g.g_mutex (fun () ->
+        Fun.protect
+          ~finally:(fun () -> Condition.broadcast g.g_changed)
+          (fun () -> f g.g_value))
+
+  let wait g = Condition.wait g.g_changed g.g_mutex
 end
 
 (* ---- supervised tasks ---------------------------------------------------

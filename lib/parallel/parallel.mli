@@ -6,6 +6,10 @@
     anything. This module is the only sanctioned home for
     [Domain]/[Mutex]/[Condition] in [lib/] (pertlint rule P1).
 
+    [jobs = N] runs tasks on N worker domains, spawned one per
+    submission until N exist, while the submitting domain waits in
+    {!await}.
+
     Determinism contract: {!map} returns results in task order and runs
     each task exactly once, so for pure tasks the result is bit-for-bit
     identical for every [jobs] value, including the sequential [jobs = 1]
@@ -23,13 +27,17 @@ val default_jobs : unit -> int
 (** {1 Pools} *)
 
 type t
-(** A fixed-size pool of worker domains draining a shared task queue. *)
+(** A pool of at most [jobs] worker domains draining a shared task queue. *)
 
 val create : jobs:int -> t
-(** [create ~jobs] spawns [jobs - 1] worker domains ([max jobs 1]; the
-    submitting domain is expected to block in {!await}, so [jobs] workers
-    would oversubscribe by one). With [jobs = 1] no domain is spawned and
-    {!submit} runs tasks inline on the calling domain. *)
+(** [create ~jobs] makes a pool of up to [max jobs 1] worker domains but
+    spawns none: each {!submit} spawns one more while fewer than [jobs]
+    exist, so a pool given fewer tasks than [jobs] spawns one worker per
+    task. The submitting domain runs no task; it is expected to block in
+    {!await}. With [jobs = 1] no domain is ever spawned and {!submit}
+    runs tasks inline on the calling domain. Only the domain that
+    created the pool may {!submit} to it or {!shutdown} it: that domain
+    keeps the worker list, unsynchronized. *)
 
 type 'a future
 
@@ -38,8 +46,9 @@ type 'a future
    and what the pertscan S1 fixtures drive directly (fixture trees are
    excluded from the repo scan, so those references don't count). *)
 val submit : t -> (unit -> 'a) -> 'a future [@@lint.allow "S3"]
-(** Enqueue a task. Tasks must be independent: a task must not [submit]
-    to (or [await] a future of) its own pool, or the pool can deadlock.
+(** Enqueue a task, and spawn a worker if the pool has fewer than [jobs].
+    Tasks must be independent: a task must not [submit] to (or [await] a
+    future of) its own pool, or the pool can deadlock.
     @raise Invalid_argument after {!shutdown}. *)
 
 val await : 'a future -> ('a, exn * Printexc.raw_backtrace) result
@@ -47,19 +56,19 @@ val await : 'a future -> ('a, exn * Printexc.raw_backtrace) result
     it is returned, with the backtrace captured on the worker. *)
 
 val shutdown : t -> unit
-(** Drain the queue, then join every worker. Idempotent. *)
+(** Drain the queue, then join every worker spawned so far. Idempotent. *)
 
 (** {1 One-shot parallel map} *)
 
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~jobs f xs] applies [f] to every element of [xs] on a transient
-    pool of [min jobs (length xs)] workers and returns the results in
-    list order. [jobs <= 1] (or a list shorter than 2) degrades to a
-    sequential map with no domain spawned. Failures are uniform across
-    every [jobs] value: a raising task is re-raised as {!Task_error}
-    carrying its index and backtrace — sequentially that is the first
-    failing task; on a pool the remaining tasks still run to completion
-    and the failure with the smallest task index wins. *)
+    pool, which spawns one worker per task up to [jobs], and returns the
+    results in list order. [jobs <= 1] (or a list shorter than 2)
+    degrades to a sequential map with no domain spawned. Failures are
+    uniform across every [jobs] value: a raising task is re-raised as
+    {!Task_error} carrying its index and backtrace — sequentially that
+    is the first failing task; on a pool the remaining tasks still run
+    to completion and the failure with the smallest task index wins. *)
 
 (** {1 Guarded shared state} *)
 
@@ -75,9 +84,17 @@ module Guard : sig
 
   val with_ : 'a t -> ('a -> 'b) -> 'b
   (** [with_ g f] runs [f] on the guarded value while holding the lock;
-      the lock is released on return or exception. [f] must not [submit]
-      to or [await] the pool (lock-ordering), and must not re-enter
-      [with_] on the same guard ([Mutex] is not reentrant). *)
+      the lock is released on return or exception, and every domain
+      parked in {!wait} on [g] is woken. [f] must not [submit] to or
+      [await] the pool (lock-ordering), and must not re-enter [with_] on
+      the same guard ([Mutex] is not reentrant). *)
+
+  val wait : 'a t -> unit
+  (** [wait g], called only from inside [with_ g f], releases the lock
+      until another [with_] on [g] has run, then takes it back: the
+      caller re-reads the value and decides whether to wait again. This
+      is how a task waits for a result another task is still computing
+      instead of computing it a second time. *)
 end
 
 (** {1 Supervised tasks}

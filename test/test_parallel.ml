@@ -83,6 +83,89 @@ let with_pool jobs f =
   let pool = Parallel.create ~jobs in
   Fun.protect ~finally:(fun () -> Parallel.shutdown pool) (fun () -> f pool)
 
+(* A rendezvous of two tasks: each announces itself, then waits for the
+   other, and returns whether it saw it. Both see each other only when
+   two domains run them at once. The wait is bounded by a spin count
+   (2e8 [Domain.cpu_relax] calls, a few seconds), not a clock, so a
+   pool that runs the tasks one after the other fails the test rather
+   than hanging it. *)
+let rendezvous arrived () =
+  Atomic.incr arrived;
+  let rec spin n =
+    Atomic.get arrived >= 2
+    || n > 0
+       &&
+       (Domain.cpu_relax ();
+        spin (n - 1))
+  in
+  spin 200_000_000
+
+let jobs_2_runs_two_tasks_at_once () =
+  let arrived = Atomic.make 0 in
+  Alcotest.(check (list bool))
+    "Parallel.map ~jobs:2: both tasks saw each other" [ true; true ]
+    (Parallel.map ~jobs:2 (fun () -> rendezvous arrived ()) [ (); () ]);
+  let arrived = Atomic.make 0 in
+  let seen =
+    with_pool 2 (fun pool ->
+        List.init 2 (fun i ->
+            Parallel.submit_supervised pool ~seed:i (fun ~deadline:_ ->
+                rendezvous arrived ()))
+        |> List.map (fun fut ->
+               match Parallel.await fut with
+               | Ok (Parallel.Ok seen) -> seen
+               | _ -> Alcotest.fail "expected a supervised Ok"))
+  in
+  Alcotest.(check (list bool))
+    "submit_supervised on a jobs:2 pool: both tasks saw each other"
+    [ true; true ] seen
+
+(* The claim-then-wait pattern of the fig2-4 trace cache: two tasks ask
+   for the same value at once; the one that claims it computes it, the
+   other parks in [Guard.wait] until it is published. The claimant holds
+   its claim until the other task has seen it (bounded by a spin count,
+   as above), so the wait path really runs. The value must be computed
+   once, and both tasks must get it. *)
+let guard_wait_computes_once () =
+  let slot = Parallel.Guard.create (ref `Free) in
+  let computed = Atomic.make 0 and waited = Atomic.make 0 in
+  let ask () =
+    let claimed =
+      Parallel.Guard.with_ slot (fun s ->
+          let rec lookup () =
+            match !s with
+            | `Done v -> Some v
+            | `Claimed ->
+                Atomic.incr waited;
+                Parallel.Guard.wait slot;
+                lookup ()
+            | `Free ->
+                s := `Claimed;
+                None
+          in
+          lookup ())
+    in
+    match claimed with
+    | Some v -> v
+    | None ->
+        let rec hold n =
+          if Atomic.get waited = 0 && n > 0 then begin
+            Domain.cpu_relax ();
+            hold (n - 1)
+          end
+        in
+        hold 200_000_000;
+        Atomic.incr computed;
+        Parallel.Guard.with_ slot (fun s -> s := `Done 42);
+        42
+  in
+  Alcotest.(check (list int))
+    "both tasks get the value" [ 42; 42 ]
+    (Parallel.map ~jobs:2 ask [ (); () ]);
+  check_bool "the other task waited for the claim" true
+    (Atomic.get waited >= 1);
+  check_int "the value was computed once" 1 (Atomic.get computed)
+
 let supervised_retry_then_succeed () =
   with_pool 1 (fun pool ->
       (* Atomic, not ref: the counter is written on whatever domain runs
@@ -230,4 +313,7 @@ let suite =
      supervised_identical_across_pool_widths);
     ("faults tables identical -j1 vs -j4", `Slow, family_identical "faults");
     ("fig6 tables identical -j1 vs -j4", `Slow, family_identical "fig6");
+    ("jobs=2 runs two tasks at once", `Quick, jobs_2_runs_two_tasks_at_once);
+    ("Guard.wait: one task computes, the other waits", `Quick,
+     guard_wait_computes_once);
   ]
