@@ -16,7 +16,8 @@ type t = {
   scratch : floatarray;
   (* event count mirrored out of the scheduler: the loop tests emptiness
      once per event, and a local int compare beats a cross-module call
-     (dev profile is -opaque, so even [Wheel.is_empty] cannot inline). *)
+     (under --profile dev every module is -opaque, so even
+     [Wheel.is_empty] cannot inline). *)
   mutable pending : int;
   mutable clock : float;
   mutable next_seq : int;

@@ -176,11 +176,10 @@ let[@lint.allow "A1"] grow_pool t =
 let[@inline] slot_of t time =
   Float.of_int (int_of_float (time *. invw t) [@lint.allow "N3"])
 
-(* In-module truncation rather than Units.Round.trunc: dev-profile
-   builds are -opaque, so the cross-library call cannot be inlined and
-   would box [slot] on every add/pop — the only allocation on the hot
-   path. Slot numbers are nonnegative and < 2^53, where truncation is
-   exact. *)
+(* In-module truncation rather than Units.Round.trunc, so [slot] stays
+   unboxed in every build: under --profile dev every module is -opaque,
+   and the cross-library call would box [slot] on every add/pop. Slot
+   numbers are nonnegative and < 2^53, where truncation is exact. *)
 let[@inline] bucket_of_slot t slot =
   (int_of_float slot [@lint.allow "N3"]) land (t.nbuckets - 1)
 

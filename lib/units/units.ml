@@ -3,7 +3,11 @@
    a no-op, and every operation compiles to the same instruction the bare
    representation would — the dimension exists only at type-checking
    time. Keep the functions tiny so the non-flambda inliner erases the
-   calls in hot paths. *)
+   calls in hot paths. It does in the default build, the release
+   profile that dune-workspace selects (-inline 60, root dune): Flow
+   and Link compile to no call into Units. Under --profile dev every
+   module is -opaque, and each wrapper stays a real call that boxes its
+   float. *)
 
 module Time = struct
   type t = float

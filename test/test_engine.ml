@@ -121,12 +121,15 @@ let heap_exn_api () =
   check_bool "drained" true (Heap.is_empty h)
 
 (* Dynamic counterpart of the static [@alloc.zero] contract on
-   [Heap.add]/[min_time_exn]/[pop_min_exn] (pertalloc rules A1-A3): a
-   presized add+drain cycle may allocate nothing beyond the float
-   argument boxing at the non-inlined [add] boundary. The 2.5 minor
-   words/operation ceiling matches bench/alloc_budget.txt — a
-   regression that reintroduces a per-operation option (~3 words) or
-   key tuple (~4 words) trips it. *)
+   [Heap.add]/[min_time_exn]/[pop_min_exn] (pertalloc rules A1-A3). In
+   the default build (release profile, -inline 60: dune-workspace and
+   the root dune) [add] and [min_time_exn] inline here, and a presized
+   add+drain cycle allocates exactly one boxed float per element (2
+   words over 2 ops): the [min_time_exn] result this test [ignore]s.
+   Any further block per element adds at least 1.0 word/op and trips
+   the 1.5 ceiling. A dev-profile build ([--profile dev]) compiles with
+   -opaque, so nothing inlines across modules and [add]'s float
+   argument boxes too: it measures 2.0 and fails here by design. *)
 let heap_hot_path_allocation_free () =
   let n = 1000 in
   let h = Heap.create ~capacity:n () in
@@ -149,9 +152,12 @@ let heap_hot_path_allocation_free () =
   drain ();
   let per_op = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
   check_bool
-    (Printf.sprintf "heap hot path: %.3f minor words/op within 2.5" per_op)
+    (Printf.sprintf
+       "heap hot path: %.3f minor words/op within 1.5 (over it: first \
+        suspect the build profile; --profile dev compiles -opaque)"
+       per_op)
     true
-    (per_op <= 2.5)
+    (per_op <= 1.5)
 
 let heap_qcheck_sorted =
   QCheck.Test.make ~name:"heap pops any multiset sorted" ~count:200
@@ -332,9 +338,12 @@ let wheel_tracks_density_shift () =
 
 (* Dynamic counterpart of the wheel's [@alloc.zero] contract, the
    steady-state shape the event loop produces: a constant-size
-   pop-one/add-one churn (no resizes once warm). Budget matches
-   prim:wheel-churn in bench/alloc_budget.txt: the float argument boxing
-   at the non-inlined [add] boundary only. *)
+   pop-one/add-one churn (no resizes once warm). In the default build
+   (release profile, -inline 60) [add] and [min_time_exn] inline here
+   and the churn allocates nothing; the 0.5 ceiling trips on any block
+   per round. A dev-profile build compiles with -opaque, so [add]'s float
+   argument and [min_time_exn]'s result box: it measures 2.0 and fails
+   here by design. *)
 let wheel_hot_path_allocation_free () =
   let n = 1000 in
   let w = Wheel.create ~capacity:n () in
@@ -356,9 +365,12 @@ let wheel_hot_path_allocation_free () =
      test above. *)
   let per_op = (Gc.minor_words () -. w0) /. float_of_int (2 * n) in
   check_bool
-    (Printf.sprintf "wheel churn: %.3f minor words/op within 2.5" per_op)
+    (Printf.sprintf
+       "wheel churn: %.3f minor words/op within 0.5 (over it: first \
+        suspect the build profile; --profile dev compiles -opaque)"
+       per_op)
     true
-    (per_op <= 2.5)
+    (per_op <= 0.5)
 
 (* The tentpole equivalence property: random interleavings of add/pop —
    including times before already-popped times, heavy ties, and sizes
