@@ -1,6 +1,8 @@
 (* Command-line driver for the paper-reproduction experiments:
    `experiments_cli list`, `experiments_cli run fig6 table1 --scale quick`,
-   `experiments_cli all --csv out/ --resume --deadline 300`. *)
+   `experiments_cli all --csv out/ --resume --deadline 300`; one dumbbell
+   run with `experiments_cli sim --scheme pert-pi --flows 8`; and any
+   other topology with `experiments_cli scenario examples/parking_lot.scn`. *)
 
 open Cmdliner
 
@@ -94,7 +96,9 @@ let scheduler_arg =
         ~doc:
           "Event scheduler: $(b,wheel) (calendar queue, default) or \
            $(b,heap) (binary heap). Tables are byte-identical either \
-           way; the flag exists so CI can prove it.")
+           way; the flag exists so CI can prove it. fig2, fig3, fig4, \
+           fig12 and dynamic-cbr do not read it and always run the \
+           wheel.")
 
 let checkpoint_arg =
   Arg.(
@@ -244,25 +248,17 @@ let all_cmd =
        $ scheduler_arg $ checkpoint_arg $ checkpoint_events_arg
        $ checkpoint_wall_arg))
 
-(* --- sim: one checkpointable simulation cell ----------------------------- *)
+(* --- sim: one dumbbell simulation ---------------------------------------- *)
 
-(* A single dumbbell run with an explicit snapshot file, built for the
-   crash-recovery proof: run it with --checkpoint, SIGKILL it mid-flight,
-   rerun the same command line — it resumes from the snapshot and the
-   --out rendering is byte-identical to an uninterrupted run's. *)
+(* A single dumbbell run: pick a scheme and a configuration, get the
+   canonical rendering of its result. It is also the crash-recovery test
+   vehicle: run it with --checkpoint, SIGKILL it mid-flight, rerun the
+   same command line — it resumes from the snapshot and the --out
+   rendering is byte-identical to an uninterrupted run's. *)
 
 let sim_scheme_conv =
-  let parse = function
-    | "pert" -> Ok Experiments.Schemes.Pert
-    | "pert-ecn" -> Ok Experiments.Schemes.Pert_ecn
-    | "sack-droptail" | "sack" -> Ok Experiments.Schemes.Sack_droptail
-    | "sack-red-ecn" | "red" -> Ok Experiments.Schemes.Sack_red_ecn
-    | "vegas" -> Ok Experiments.Schemes.Vegas
-    | "pert-rem" -> Ok Experiments.Schemes.Pert_rem
-    | "pert-avq" -> Ok Experiments.Schemes.Pert_avq
-    | "sack-rem-ecn" | "rem" -> Ok Experiments.Schemes.Sack_rem_ecn
-    | "sack-avq-ecn" | "avq" -> Ok Experiments.Schemes.Sack_avq_ecn
-    | s -> Error (`Msg (Printf.sprintf "unknown scheme %S" s))
+  let parse s =
+    Result.map_error (fun e -> `Msg e) (Experiments.Schemes.of_string s)
   in
   Arg.conv
     (parse, fun fmt s -> Format.fprintf fmt "%s" (Experiments.Schemes.name s))
@@ -274,8 +270,11 @@ let sim_scheme_arg =
     & info [ "scheme" ] ~docv:"NAME"
         ~doc:
           "Congestion control / queue combination: pert, pert-ecn, \
-           sack-droptail, sack-red-ecn, vegas, pert-rem, pert-avq, \
-           sack-rem-ecn, sack-avq-ecn.")
+           sack-droptail, sack-red-ecn, vegas, pert-pi, sack-pi-ecn, \
+           pert-rem, pert-avq, sack-rem-ecn, sack-avq-ecn. Aliases: sack, \
+           droptail and newreno for sack-droptail; red, pi, rem and avq \
+           for SACK over that ECN-marking router queue. The PI schemes \
+           target a 3 ms queueing delay.")
 
 let sim_bandwidth_arg =
   Arg.(
@@ -290,8 +289,29 @@ let sim_rtt_arg =
 let sim_flows_arg =
   Arg.(value & opt int 16 & info [ "flows" ] ~doc:"Forward long-lived flows.")
 
+let sim_reverse_arg =
+  Arg.(value & opt int 0 & info [ "reverse" ] ~doc:"Reverse long-lived flows.")
+
+let sim_web_arg = Arg.(value & opt int 0 & info [ "web" ] ~doc:"Web sessions.")
+
 let sim_duration_arg =
   Arg.(value & opt float 60.0 & info [ "duration" ] ~doc:"Simulated seconds.")
+
+let sim_warmup_arg =
+  Arg.(
+    value
+    & opt (some float) None
+    & info [ "warmup" ] ~docv:"SEC"
+        ~doc:"Start of the measurement window (default: duration/4).")
+
+let sim_buffer_arg =
+  Arg.(
+    value
+    & opt (some int) None
+    & info [ "buffer" ] ~docv:"PKTS"
+        ~doc:
+          "Bottleneck buffer in packets (default: one BDP, and at least \
+           twice the forward flows).")
 
 let sim_loss_arg =
   Arg.(
@@ -304,6 +324,22 @@ let sim_loss_arg =
 
 let sim_seed_arg =
   Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Random seed.")
+
+let sim_owd_arg =
+  Arg.(
+    value & flag
+    & info [ "owd" ]
+        ~doc:"Drive PERT from forward one-way delays instead of RTTs.")
+
+let sim_trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE"
+        ~doc:
+          "Write an ns-2-style packet trace of the bottleneck link (both \
+           directions) to $(docv). Tracing does not change the result. \
+           Not with $(b,--checkpoint) or $(b,--restore).")
 
 let sim_checkpoint_arg =
   Arg.(
@@ -353,13 +389,39 @@ let render_result (r : Experiments.Dumbbell.result) =
     r.per_flow_goodput;
   Buffer.contents b
 
-let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
-    ck_events ck_wall restore out =
+(* Build, attach the tracer to both bottleneck directions, then run the
+   same phases as an untraced run. The announcement goes to stderr, so
+   stdout stays the rendering. *)
+let run_traced config path =
+  let built = Experiments.Dumbbell.build config in
+  let tracer =
+    Netsim.Tracer.create
+      [
+        built.Experiments.Dumbbell.bottleneck;
+        built.Experiments.Dumbbell.reverse_bneck;
+      ]
+  in
+  let result = Experiments.Dumbbell.run_phases built in
+  mkdir_p (Filename.dirname path);
+  Netsim.Tracer.save tracer ~path;
+  Printf.eprintf "trace: %d events -> %s\n" (Netsim.Tracer.events tracer) path;
+  result
+
+let run_sim scheme bandwidth rtt flows reverse web duration warmup buffer loss
+    seed owd scheduler trace checkpoint ck_events ck_wall restore out =
   match (restore, checkpoint) with
   | Some _, Some _ ->
       `Error (true, "--restore and --checkpoint are mutually exclusive")
+  | Some _, None | None, Some _ when Option.is_some trace ->
+      `Error (true, "--trace cannot be combined with --checkpoint or --restore")
   | Some path, None when not (Sys.file_exists path) ->
       `Error (false, Printf.sprintf "--restore %s: no such snapshot" path)
+  | _
+    when List.exists
+           (fun w -> w < 0.0 || w >= duration)
+           (Option.to_list warmup) ->
+      (* a warm-up that reaches the end leaves nothing to measure *)
+      `Error (true, "--warmup must be at least 0 and less than --duration")
   | restore, checkpoint ->
       let config =
         Experiments.Dumbbell.uniform_flows
@@ -368,8 +430,12 @@ let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
             scheme;
             bandwidth = bandwidth *. 1e6;
             rtt = rtt /. 1000.0;
+            reverse_flows = reverse;
+            web_sessions = web;
+            buffer_pkts = buffer;
             duration;
-            warmup = duration /. 4.0;
+            warmup = Option.value warmup ~default:(duration /. 4.0);
+            delay_signal = (if owd then `Owd else `Rtt);
             fault =
               Option.map (fun p -> Netsim.Fault.lossy (Units.Prob.v p)) loss;
             seed;
@@ -398,7 +464,11 @@ let run_sim scheme bandwidth rtt flows duration loss seed scheduler checkpoint
             Some (mk_ckpt path)
         | None, None -> None
       in
-      let result = Experiments.Dumbbell.run ?ckpt config in
+      let result =
+        match trace with
+        | Some path -> run_traced config path
+        | None -> Experiments.Dumbbell.run ?ckpt config
+      in
       let text = render_result result in
       (match out with
       | Some path ->
@@ -411,19 +481,50 @@ let sim_cmd =
   Cmd.v
     (Cmd.info "sim"
        ~doc:
-         "Run one dumbbell simulation with live checkpoint/restore and a \
-          canonical result rendering (the crash-recovery test vehicle).")
+         "Run one dumbbell simulation and print the canonical rendering of \
+          its result, with live checkpoint/restore (the crash-recovery \
+          test vehicle) or an ns-2-style packet trace.")
     Term.(
       ret
         (const run_sim $ sim_scheme_arg $ sim_bandwidth_arg $ sim_rtt_arg
-       $ sim_flows_arg $ sim_duration_arg $ sim_loss_arg $ sim_seed_arg
-       $ scheduler_arg $ sim_checkpoint_arg $ checkpoint_events_arg
-       $ checkpoint_wall_arg $ sim_restore_arg $ sim_out_arg))
+       $ sim_flows_arg $ sim_reverse_arg $ sim_web_arg $ sim_duration_arg
+       $ sim_warmup_arg $ sim_buffer_arg $ sim_loss_arg $ sim_seed_arg
+       $ sim_owd_arg $ scheduler_arg $ sim_trace_arg $ sim_checkpoint_arg
+       $ checkpoint_events_arg $ checkpoint_wall_arg $ sim_restore_arg
+       $ sim_out_arg))
+
+(* --- scenario: a topology described in a file ---------------------------- *)
+
+let scenario_file_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"FILE"
+        ~doc:
+          "Scenario file; the language is documented in \
+           lib/scenario/scenario.mli (example: examples/parking_lot.scn).")
+
+let run_scenario path =
+  let source = In_channel.with_open_text path In_channel.input_all in
+  match Scenario.parse_and_run source with
+  | Ok report ->
+      Scenario.pp_report Format.std_formatter report;
+      `Ok 0
+  | Error msg -> `Error (false, Printf.sprintf "%s: %s" path msg)
+
+let scenario_cmd =
+  Cmd.v
+    (Cmd.info "scenario"
+       ~doc:
+         "Run a scenario file — any topology of nodes and links with \
+          long-lived flows, web sessions and CBR sources — and print each \
+          flow's goodput and each link's utilisation, queue and drops.")
+    Term.(ret (const run_scenario $ scenario_file_arg))
 
 let main =
   let doc = "Reproduce the tables and figures of the PERT paper (SIGCOMM 2007)" in
   Cmd.group
     (Cmd.info "pert-experiments" ~doc)
-    [ list_cmd; run_cmd; all_cmd; sim_cmd ]
+    [ list_cmd; run_cmd; all_cmd; sim_cmd; scenario_cmd ]
 
 let () = exit (Cmd.eval' main)

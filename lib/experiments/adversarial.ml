@@ -57,8 +57,7 @@ type run = {
 
 let sum flows get = List.fold_left (fun a f -> a + get f) 0 flows
 
-let run_config ?ckpt ?max_events ?max_wall config =
-  let built, result = D.run_world ?ckpt ?max_events ?max_wall config in
+let summary built result =
   let flows = built.D.forward_flows in
   {
     result;
@@ -84,20 +83,7 @@ let mbps v = Output.cell_f ~digits:2 (Units.Rate.to_mbps v)
 let astat r get = match r.astats with Some s -> get s | None -> 0
 
 let run_cells ~ctx ~experiment specs =
-  (* Same scheduler override as {!Dumbbell.run_cells}: the store key
-     digests the scheduler that actually ran. *)
-  let specs =
-    List.map
-      (fun (point, config) ->
-        (point, { config with D.scheduler = ctx.Runner.scheduler }))
-      specs
-  in
-  Runner.map ctx
-    ~key:(D.cell_key ~experiment)
-    (fun ~ckpt ((_ : string), config) ->
-      run_config ?ckpt ?max_events:ctx.Runner.max_events
-        ?max_wall:ctx.Runner.deadline config)
-    specs
+  D.run_cells_with ~ctx ~experiment ~summary specs
 
 (* --- blind RST storms ----------------------------------------------------- *)
 

@@ -387,7 +387,7 @@ let rehydrate_world world =
    out of either [Sim.run] with the simulation in a consistent
    just-between-events state — which is precisely what a pending
    checkpoint tick has saved most recently. *)
-let run_phases world =
+let finish_phases world =
   let built = world.w_built in
   let sim = T.sim built.topo in
   if not world.w_warmup_done then begin
@@ -397,6 +397,8 @@ let run_phases world =
   end;
   Sim.run ~until:(Units.Time.s built.config.duration) sim;
   measure built
+
+let run_phases built = finish_phases { w_built = built; w_warmup_done = false }
 
 let run_world ?ckpt ?max_events ?max_wall config =
   let fresh () =
@@ -421,7 +423,7 @@ let run_world ?ckpt ?max_events ?max_wall config =
             fresh ())
     | _ -> fresh ()
   in
-  (world.w_built, run_phases world)
+  (world.w_built, finish_phases world)
 
 let run ?ckpt ?max_events ?max_wall config =
   snd (run_world ?ckpt ?max_events ?max_wall config)
@@ -442,7 +444,7 @@ let cell_key ~experiment (point, config) =
     ~extra:(config_digest config)
     ()
 
-let run_cells ~ctx ~experiment cells =
+let run_cells_with ~ctx ~experiment ~summary cells =
   (* The context's scheduler choice overrides the configs up front, so
      the store key digests the scheduler that actually ran. *)
   let cells =
@@ -454,6 +456,12 @@ let run_cells ~ctx ~experiment cells =
   Runner.map ctx
     ~key:(cell_key ~experiment)
     (fun ~ckpt (_, config) ->
-      run ?ckpt ?max_events:ctx.Runner.max_events ?max_wall:ctx.Runner.deadline
-        config)
+      let built, result =
+        run_world ?ckpt ?max_events:ctx.Runner.max_events
+          ?max_wall:ctx.Runner.deadline config
+      in
+      summary built result)
     cells
+
+let run_cells ~ctx ~experiment cells =
+  run_cells_with ~ctx ~experiment ~summary:(fun _ r -> r) cells

@@ -105,14 +105,12 @@ val run :
     armed on a fresh build. Every scenario this builds can checkpoint,
     web sessions included: all of its events are plain data. *)
 
-val cell_key : experiment:string -> string * config -> Store.key
-(** Store identity of one [(point, config)] sweep cell. *)
-
 val run_cells :
   ctx:Runner.ctx -> experiment:string -> (string * config) list ->
   result Runner.cell list
 (** {!Runner.map} over labelled configs: store-checkpointed, supervised,
-    budgeted per [ctx] — the building block of every dumbbell sweep. *)
+    budgeted per [ctx] — the building block of every dumbbell sweep.
+    Each cell runs on [ctx.scheduler], whatever its config says. *)
 
 (** Handles for custom experiments that need mid-run access. *)
 type built = {
@@ -134,15 +132,22 @@ val build : config -> built
 (** Construct the scenario without running it (web sessions are started,
     long flows scheduled). *)
 
-val run_world :
-  ?ckpt:Runner.checkpoint ->
-  ?max_events:int ->
-  ?max_wall:Units.Time.t ->
-  config ->
-  built * result
-(** {!run}, additionally returning the built (possibly restored)
-    scenario — for suites ({!Faults}, {!Adversarial}) that summarise
-    flow- or fault-level counters beyond {!type-result}. *)
+val run_cells_with :
+  ctx:Runner.ctx ->
+  experiment:string ->
+  summary:(built -> result -> 'a) ->
+  (string * config) list ->
+  'a Runner.cell list
+(** {!run_cells} with a per-cell summary of the finished (possibly
+    restored) scenario — for suites ({!Faults}, {!Adversarial}) that
+    report flow- or fault-level counters beyond {!type-result}.
+    [run_cells] is [run_cells_with ~summary:(fun _ r -> r)]. *)
+
+val run_phases : built -> result
+(** Run a freshly {!build}-built scenario to the end: warm up, {!reset}
+    at [config.warmup], run to [config.duration] and {!measure} — the
+    phases {!run} drives, for a caller that attaches something (a
+    tracer, a probe) between building and running. *)
 
 val measure : built -> result
 (** Collect the summary from a [built] whose simulation has been advanced

@@ -46,8 +46,7 @@ type run = {
   fstats : Fault.stats option;
 }
 
-let run_config ?ckpt ?max_events ?max_wall config =
-  let built, result = D.run_world ?ckpt ?max_events ?max_wall config in
+let summary built result =
   {
     result;
     goodput_bps =
@@ -64,16 +63,8 @@ let mbps v = Output.cell_f ~digits:2 (Units.Rate.to_mbps v)
 
 let fstat f get = match f.fstats with Some s -> get s | None -> 0
 
-(* Labelled (point, config) cells through the supervised/checkpointed
-   runner — same contract as [Dumbbell.run_cells] but for this suite's
-   richer per-run record. *)
 let run_cells ~ctx ~experiment specs =
-  Runner.map ctx
-    ~key:(D.cell_key ~experiment)
-    (fun ~ckpt ((_ : string), config) ->
-      run_config ?ckpt ?max_events:ctx.Runner.max_events
-        ?max_wall:ctx.Runner.deadline config)
-    specs
+  D.run_cells_with ~ctx ~experiment ~summary specs
 
 (* --- non-congestive loss ------------------------------------------------- *)
 

@@ -43,8 +43,11 @@ type ctx = {
   max_events : int option;  (** event budget per cell (deterministic) *)
   seed : int;  (** base seed for per-task backoff jitter *)
   scheduler : [ `Heap | `Wheel ];
-      (** event scheduler for every cell's simulation; results are
-          byte-identical either way (the determinism replays assert it) *)
+      (** event scheduler for each cell's simulation; results are
+          byte-identical either way (the determinism replays assert it).
+          Not every family reads it: fig2–fig4 (whose traces
+          {!Fig_predict} collects on the wheel), fig12 and dynamic-cbr
+          always run the wheel. *)
   checkpoint : checkpoint_policy option;  (** live mid-run snapshots *)
 }
 

@@ -34,6 +34,25 @@ let name = function
   | Sack_rem_ecn -> "sack-rem-ecn"
   | Sack_avq_ecn -> "sack-avq-ecn"
 
+(* Aliases: the bare AQM name picks SACK over that queue, and
+   [droptail]/[newreno] name plain SACK over DropTail, so the queue and
+   controller names of a scenario file parse through this same table. *)
+let of_string s =
+  let pi_target = Units.Time.s 0.003 in
+  match s with
+  | "pert" -> Ok Pert
+  | "pert-ecn" -> Ok Pert_ecn
+  | "sack-droptail" | "sack" | "droptail" | "newreno" -> Ok Sack_droptail
+  | "sack-red-ecn" | "red" -> Ok Sack_red_ecn
+  | "vegas" -> Ok Vegas
+  | "pert-pi" -> Ok (Pert_pi { target_delay = pi_target })
+  | "sack-pi-ecn" | "pi" -> Ok (Sack_pi_ecn { target_delay = pi_target })
+  | "pert-rem" -> Ok Pert_rem
+  | "pert-avq" -> Ok Pert_avq
+  | "sack-rem-ecn" | "rem" -> Ok Sack_rem_ecn
+  | "sack-avq-ecn" | "avq" -> Ok Sack_avq_ecn
+  | _ -> Error (Printf.sprintf "unknown scheme %S" s)
+
 let all_fig4_schemes = [ Pert; Sack_droptail; Sack_red_ecn; Vegas ]
 
 let uses_ecn = function

@@ -30,6 +30,15 @@ type t =
   | Sack_avq_ecn  (** router AVQ with ECN *)
 
 val name : t -> string
+
+val of_string : string -> (t, string) result
+(** The scheme a name denotes: the inverse of {!name} for every scheme
+    but [Pert_tuned], which has no name of its own. [pert-pi] and
+    [sack-pi-ecn] get a 3 ms target delay. Aliases: [sack], [droptail]
+    and [newreno] for [sack-droptail]; [red], [pi], [rem] and [avq] for
+    SACK with ECN over that router queue. The error names the unknown
+    scheme. *)
+
 val all_fig4_schemes : t list
 (** The four schemes of Sections 4.1–4.7, in paper order:
     PERT, SACK/DropTail, SACK/RED-ECN, Vegas. *)

@@ -3,17 +3,15 @@ module Sim = Sim_engine.Sim
 type t = {
   sim : Sim.t;
   arena : Packet.arena;
-  service : Link.service;
   mutable nodes : Node.t list;  (* newest first *)
   mutable links : (int * int * Link.t) list;  (* src id, dst id, link *)
   mutable node_count : int;
 }
 
-let create ?(service = Link.Batched) sim =
+let create sim =
   {
     sim;
     arena = Packet.create_arena ();
-    service;
     nodes = [];
     links = [];
     node_count = 0;
@@ -31,8 +29,7 @@ let add_node t =
 let add_link ?jitter t ~src ~dst ~bandwidth ~delay ~disc =
   let name = Printf.sprintf "link-%d->%d" (Node.id src) (Node.id dst) in
   let link =
-    Link.create ?jitter ~service:t.service t.sim ~arena:t.arena ~name
-      ~bandwidth ~delay ~disc
+    Link.create ?jitter t.sim ~arena:t.arena ~name ~bandwidth ~delay ~disc
   in
   Link.set_deliver link (fun pkt -> Node.receive dst pkt);
   t.links <- (Node.id src, Node.id dst, link) :: t.links;

@@ -6,9 +6,9 @@
 
 type t
 
-val create : ?service:Link.service -> Sim_engine.Sim.t -> t
-(** [service] (default {!Link.Batched}) selects the transmitter
-    implementation for every link subsequently added. *)
+val create : Sim_engine.Sim.t -> t
+(** Every link the topology adds uses the default {!Link.Batched}
+    transmitter. *)
 
 val sim : t -> Sim_engine.Sim.t
 

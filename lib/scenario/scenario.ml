@@ -1,30 +1,22 @@
 module Sim = Sim_engine.Sim
-module Rng = Sim_engine.Rng
 module T = Netsim.Topology
+module Schemes = Experiments.Schemes
 
-type queue_kind = Droptail | Red | Pi | Rem | Avq
-
-type cc_kind =
-  | Newreno
-  | Vegas
-  | Pert
-  | Pert_pi
-  | Pert_rem
-  | Pert_avq
-
+(* A link's queue is the bottleneck queue of a scheme, and a flow's
+   controller is the controller of one. *)
 type link_spec = {
   l_src : string;
   l_dst : string;
   bw : float;
   delay : float;
-  queue : queue_kind;
+  queue : Schemes.t;
   qlen : int;
 }
 
 type flow_spec = {
   f_src : string;
   f_dst : string;
-  cc : cc_kind;
+  cc : Schemes.t;
   f_start : float;
   total : int option;
   ecn : bool;
@@ -102,23 +94,15 @@ let parse_queue s =
         | Some n when n > 0 -> n
         | _ -> fail "bad queue length %S" len
       in
-      match kind with
-      | "droptail" -> (Droptail, qlen)
-      | "red" -> (Red, qlen)
-      | "pi" -> (Pi, qlen)
-      | "rem" -> (Rem, qlen)
-      | "avq" -> (Avq, qlen)
-      | _ -> fail "unknown queue kind %S" kind)
+      match Schemes.of_string kind with
+      | Ok scheme -> (scheme, qlen)
+      | Error _ -> fail "unknown queue kind %S" kind)
   | _ -> fail "queue must be KIND:PKTS, got %S" s
 
-let parse_cc = function
-  | "newreno" | "sack" -> Newreno
-  | "vegas" -> Vegas
-  | "pert" -> Pert
-  | "pert-pi" -> Pert_pi
-  | "pert-rem" -> Pert_rem
-  | "pert-avq" -> Pert_avq
-  | s -> fail "unknown cc %S" s
+let parse_cc s =
+  match Schemes.of_string s with
+  | Ok scheme -> scheme
+  | Error _ -> fail "unknown cc %S" s
 
 (* key=value and bare-flag arguments *)
 let kv_args words =
@@ -263,54 +247,12 @@ let parse source =
 
 (* --- execution ----------------------------------------------------------- *)
 
-let make_disc sim kind qlen ~bw =
-  let capacity_pps = bw /. (8.0 *. float_of_int Netsim.Packet.data_size) in
-  match kind with
-  | Droptail -> Netsim.Droptail.create ~limit_pkts:qlen
-  | Red ->
-      Netsim.Red.create
-        ~rng:(Rng.split (Sim.rng sim))
-        ~params:(Netsim.Red.auto_params ~capacity_pps ~limit_pkts:qlen ())
-        ~capacity_pps ~limit_pkts:qlen
-  | Pi ->
-      (* gains designed for a nominal 100 ms / 10-flow regime *)
-      let ctx =
-        { Experiments.Schemes.sim; capacity_pps; limit_pkts = qlen;
-          rtt = 0.1; nflows = 10 }
-      in
-      Experiments.Schemes.bottleneck_disc
-        (Experiments.Schemes.Sack_pi_ecn { target_delay = Units.Time.s 0.003 })
-        ctx
-  | Rem ->
-      Netsim.Rem.create
-        ~rng:(Rng.split (Sim.rng sim))
-        ~params:(Netsim.Rem.default_params ~capacity_pps)
-        ~capacity_pps ~limit_pkts:qlen
-  | Avq ->
-      Netsim.Avq.create ~params:(Netsim.Avq.default_params ()) ~capacity_pps
-        ~limit_pkts:qlen
-
-let make_cc sim kind =
-  let rng () = Rng.split (Sim.rng sim) in
-  match kind with
-  | Newreno -> Tcpstack.Cc.newreno ()
-  | Vegas -> Tcpstack.Vegas.create ()
-  | Pert -> Tcpstack.Pert_cc.create ~rng:(rng ()) ()
-  | Pert_pi ->
-      (* nominal design point, as in Schemes *)
-      let gains =
-        let g =
-          Fluid.Stability.pert_pi_gains ~c:1000.0 ~n_min:10.0 ~r_plus:0.1
-            ~r_star:0.1
-        in
-        Pert_core.Pert_pi.gains_of_pi ~k:g.Fluid.Stability.k
-          ~m:g.Fluid.Stability.m ~delta:0.01
-      in
-      Tcpstack.Pert_pi_cc.create ~rng:(rng ())
-        ~gains ~target_delay:(Units.Time.s 0.003)
-        ~sample_interval:(Units.Time.s 0.01) ()
-  | Pert_rem -> Tcpstack.Pert_rem_cc.create ~rng:(rng ()) ()
-  | Pert_avq -> Tcpstack.Pert_avq_cc.create ~rng:(rng ()) ()
+(* Every queue and controller is designed for one nominal point: a
+   100 ms RTT shared by 10 flows. A queue sees its own link's capacity
+   and buffer; a controller, which belongs to no link, sees 1000 pkt/s
+   and no buffer. *)
+let design sim ~capacity_pps ~limit_pkts =
+  { Schemes.sim; capacity_pps; limit_pkts; rtt = 0.1; nflows = 10 }
 
 let run t =
   let sim = Sim.create ~seed:t.seed () in
@@ -325,18 +267,25 @@ let run t =
           T.add_link topo ~src:(node l.l_src) ~dst:(node l.l_dst)
             ~bandwidth:(Units.Rate.bps l.bw)
             ~delay:(Units.Time.s l.delay)
-            ~disc:(make_disc sim l.queue l.qlen ~bw:l.bw)
+            ~disc:
+              (Schemes.bottleneck_disc l.queue
+                 (design sim
+                    ~capacity_pps:
+                      (l.bw /. (8.0 *. float_of_int Netsim.Packet.data_size))
+                    ~limit_pkts:l.qlen))
         in
         (Printf.sprintf "%s->%s" l.l_src l.l_dst, link))
       t.links
   in
   T.compute_routes topo;
+  let cc_ctx = design sim ~capacity_pps:1000.0 ~limit_pkts:0 in
   let flows =
     List.map
       (fun f ->
         let flow =
           Tcpstack.Flow.create topo ~src:(node f.f_src) ~dst:(node f.f_dst)
-            ~cc:(make_cc sim f.cc) ~ecn:f.ecn ?total_pkts:f.total
+            ~cc:(Schemes.cc_factory f.cc cc_ctx ())
+            ~ecn:f.ecn ?total_pkts:f.total
             ~start:(Units.Time.s f.f_start)
             ~delay_signal:(if f.owd then `Owd else `Rtt)
             ~delayed_acks:f.delack ()

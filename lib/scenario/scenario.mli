@@ -20,21 +20,30 @@
 
     Directives:
     - [node NAME]
-    - [link SRC DST bw=RATE delay=TIME queue=KIND:PKTS] — unidirectional
-    - [duplex A B bw=RATE delay=TIME queue=KIND:PKTS] — both directions
-      (independent queues of the same kind)
-    - [flow SRC DST cc=CC] with optional [start=TIME], [total=PKTS],
-      [ecn], [owd], [delack]
+    - [link SRC DST bw=RATE delay=TIME queue=SCHEME:PKTS] —
+      unidirectional
+    - [duplex A B bw=RATE delay=TIME queue=SCHEME:PKTS] — both
+      directions (independent queues of the same kind)
+    - [flow SRC DST cc=SCHEME] with optional [start=TIME],
+      [total=PKTS], [ecn], [owd], [delack]
     - [web SRC DST sessions=N]
     - [cbr SRC DST rate=RATE] with optional [start=TIME], [stop=TIME]
     - [seed N]
     - [run TIME] — must be last
 
     Rates accept [k]/[M]/[G] suffixes (bits/s); times accept [ms]/[s]
-    (default seconds). Queue kinds: [droptail], [red], [pi], [rem],
-    [avq] (AQM parameters are auto-configured from the link rate; RED,
-    PI, REM and AVQ mark ECN-capable packets). CC kinds: [newreno],
-    [vegas], [pert], [pert-pi], [pert-rem], [pert-avq]. *)
+    (default seconds).
+
+    A SCHEME is any name {!Experiments.Schemes.of_string} accepts.
+    [queue=SCHEME:PKTS] is that scheme's bottleneck queue with a
+    [PKTS]-packet buffer, and [cc=SCHEME] is its controller; only the
+    ECN flag is set per flow, by [ecn]. The short names read as queues
+    and controllers: [droptail], [red], [pi], [rem] and [avq] give those
+    queues (RED, PI, REM and AVQ mark ECN-capable packets), and
+    [newreno] (or [sack]), [vegas], [pert], [pert-pi], [pert-rem] and
+    [pert-avq] give those controllers. Every queue and controller is
+    designed for a nominal 100 ms RTT shared by 10 flows: queues at
+    their link's rate, controllers at 1000 pkt/s. *)
 
 type t
 
@@ -49,12 +58,8 @@ type report = {
 val parse : string -> (t, string) result
 (** Parse a scenario from source text; the error carries a line number. *)
 
-(* Kept with no in-tree caller: the programmatic half of the API —
-   [parse_and_run] is [parse] composed with it; embedders that build [t]
-   by hand call it directly. *)
-val run : t -> report [@@lint.allow "S3"]
-(** Build and execute the scenario; metrics cover the full run. *)
-
 val parse_and_run : string -> (report, string) result
+(** {!parse}, then build and execute the scenario; metrics cover the
+    full run. *)
 
 val pp_report : Format.formatter -> report -> unit

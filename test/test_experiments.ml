@@ -31,6 +31,55 @@ let schemes_disc_kinds () =
   let pi = Schemes.bottleneck_disc (Schemes.Sack_pi_ecn { target_delay = Units.Time.s 0.003 }) ctx in
   check_bool "pi disc introspectable" true (Units.Prob.to_float (Netsim.Pi_queue.probability pi) >= 0.0)
 
+(* [of_string] inverts [name] (Pert_tuned has no name of its own), and
+   every alias lands on its scheme. *)
+let schemes_of_string () =
+  let target_delay = Units.Time.s 0.003 in
+  let same a b =
+    match (a, b) with
+    | Schemes.Pert_pi { target_delay = x }, Schemes.Pert_pi { target_delay = y }
+    | ( Schemes.Sack_pi_ecn { target_delay = x },
+        Schemes.Sack_pi_ecn { target_delay = y } ) ->
+        Float.equal (Units.Time.to_s x) (Units.Time.to_s y)
+    | _ -> String.equal (Schemes.name a) (Schemes.name b)
+  in
+  let parses name expected =
+    match Schemes.of_string name with
+    | Ok s -> check_bool (name ^ " parses") true (same s expected)
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun s -> parses (Schemes.name s) s)
+    [
+      Schemes.Pert;
+      Schemes.Pert_ecn;
+      Schemes.Sack_droptail;
+      Schemes.Sack_red_ecn;
+      Schemes.Vegas;
+      Schemes.Pert_pi { target_delay };
+      Schemes.Sack_pi_ecn { target_delay };
+      Schemes.Pert_rem;
+      Schemes.Pert_avq;
+      Schemes.Sack_rem_ecn;
+      Schemes.Sack_avq_ecn;
+    ];
+  List.iter
+    (fun (alias, s) -> parses alias s)
+    [
+      ("sack", Schemes.Sack_droptail);
+      ("droptail", Schemes.Sack_droptail);
+      ("newreno", Schemes.Sack_droptail);
+      ("red", Schemes.Sack_red_ecn);
+      ("pi", Schemes.Sack_pi_ecn { target_delay });
+      ("rem", Schemes.Sack_rem_ecn);
+      ("avq", Schemes.Sack_avq_ecn);
+    ];
+  List.iter
+    (fun name ->
+      check_bool (name ^ " is rejected") true
+        (Result.is_error (Schemes.of_string name)))
+    [ "pert-tuned"; "PERT"; "" ]
+
 (* --- Dumbbell ------------------------------------------------------------------ *)
 
 let bdp_rule () =
@@ -362,4 +411,5 @@ let suite =
     ("multibottleneck smoke", `Quick, multibneck_smoke);
     ("dynamic conservation", `Quick, dynamic_conservation);
     ("dynamic cbr yield/reclaim", `Quick, dynamic_cbr_yield_and_reclaim);
+    ("schemes of_string", `Quick, schemes_of_string);
   ]

@@ -92,11 +92,7 @@ let small_config ?fault ?(scheme = Experiments.Schemes.Pert) () =
 
 let run config =
   let built = D.build config in
-  let sim = T.sim built.D.topo in
-  Sim.run ~until:(ts config.D.warmup) sim;
-  D.reset built;
-  Sim.run ~until:(ts config.D.duration) sim;
-  (built, D.measure built)
+  (built, D.run_phases built)
 
 let check_links_conserve built =
   List.iter

@@ -172,6 +172,30 @@ let budget_timeout_marks_cell () =
         (Runner.failure_cell (Runner.Timed_out reason))
   | _ -> Alcotest.fail "expected a single TIMEOUT cell"
 
+(* The one cell runner of the dumbbell families (Faults and Adversarial
+   summarise through it too) builds every cell's simulation on
+   [ctx.scheduler], whatever the cell's config says. *)
+let shared_runner_uses_ctx_scheduler () =
+  let schedulers ctx config_scheduler =
+    Dumbbell.run_cells_with ~ctx ~experiment:"scheduler"
+      ~summary:(fun built _ ->
+        match Sim_engine.Sim.scheduler (Netsim.Topology.sim built.Dumbbell.topo) with
+        | `Heap -> "heap"
+        | `Wheel -> "wheel")
+      (List.map
+         (fun s ->
+           ( Schemes.name s,
+             { (tiny s) with Dumbbell.scheduler = config_scheduler } ))
+         [ Schemes.Pert; Schemes.Sack_droptail ])
+    |> List.map (function Ok s -> s | Error f -> Runner.failure_cell f)
+  in
+  Alcotest.(check (list string)) "heap context over wheel configs"
+    [ "heap"; "heap" ]
+    (schedulers (Runner.ctx ~scheduler:`Heap ()) `Wheel);
+  Alcotest.(check (list string)) "wheel context over heap configs"
+    [ "wheel"; "wheel" ]
+    (schedulers (Runner.ctx ~scheduler:`Wheel ()) `Heap)
+
 let render_cells cells =
   String.concat "|"
     (List.map
@@ -238,4 +262,6 @@ let suite =
     ("event budget renders TIMEOUT", `Quick, budget_timeout_marks_cell);
     ("resume replays byte-identical", `Slow, resume_replays_byte_identical);
     ("Output.failure_count", `Quick, failure_count_counts_markers);
+    ("cells run on the context's scheduler", `Quick,
+      shared_runner_uses_ctx_scheduler);
   ]
