@@ -302,7 +302,10 @@ let sim_warmup_arg =
     value
     & opt (some float) None
     & info [ "warmup" ] ~docv:"SEC"
-        ~doc:"Start of the measurement window (default: duration/4).")
+        ~doc:
+          "Start of the measurement window (default: duration/4). Flows \
+           start at random times in [0, min 5 SEC), so every flow has \
+           started when measurement begins.")
 
 let sim_buffer_arg =
   Arg.(
@@ -423,6 +426,7 @@ let run_sim scheme bandwidth rtt flows reverse web duration warmup buffer loss
       (* a warm-up that reaches the end leaves nothing to measure *)
       `Error (true, "--warmup must be at least 0 and less than --duration")
   | restore, checkpoint ->
+      let warmup = Option.value warmup ~default:(duration /. 4.0) in
       let config =
         Experiments.Dumbbell.uniform_flows
           {
@@ -434,7 +438,11 @@ let run_sim scheme bandwidth rtt flows reverse web duration warmup buffer loss
             web_sessions = web;
             buffer_pkts = buffer;
             duration;
-            warmup = Option.value warmup ~default:(duration /. 4.0);
+            warmup;
+            (* The library's fixed 5 s start window would leave flows of
+               a short run unstarted when measurement begins; end it at
+               the warm-up instead. *)
+            start_window = (0.0, Float.min 5.0 warmup);
             delay_signal = (if owd then `Owd else `Rtt);
             fault =
               Option.map (fun p -> Netsim.Fault.lossy (Units.Prob.v p)) loss;

@@ -31,6 +31,9 @@ let min_rtt t =
 
 let queueing_delay t =
   if t.samples = 0 then invalid_arg "Srtt.value: no samples";
-  Units.Time.s (Float.max 0.0 (t.f.srtt -. t.f.min_rtt))
+  (* [Float.max 0.0 d] without its C call; [>] rather than [>=] keeps
+     the positive zero it returns for [d = -0.0]. *)
+  let d = t.f.srtt -. t.f.min_rtt in
+  Units.Time.s (if d > 0.0 then d else 0.0)
 
 let samples t = t.samples

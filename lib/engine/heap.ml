@@ -37,7 +37,7 @@ let is_empty t = t.size = 0
    leaves ~2C — but once planes are megabytes the 4x overshoot costs
    more than the copies it saves. *)
 let[@lint.allow "A1"] grow t =
-  let cap = max 1 (Array.length t.times) in
+  let cap = Int.max 1 (Array.length t.times) in
   let cap' = if cap >= 65536 then 2 * cap else 4 * cap in
   let times = Array.make cap' 0.0 in
   let seqs = Array.make cap' 0 in
@@ -49,10 +49,12 @@ let[@lint.allow "A1"] grow t =
   t.seqs <- seqs;
   t.data <- data
 
-(* [lt t i j] : does slot [i] have strictly smaller priority than slot [j]? *)
+(* [lt t i j] : does slot [i] have strictly smaller priority than slot [j]?
+   Times are never NaN, so [not (ti > tj)] after [ti < tj] failed is the
+   tie test, as in [Wheel.key_lt]. *)
 let lt t i j =
-  t.times.(i) < t.times.(j)
-  || (Float.equal t.times.(i) t.times.(j) && t.seqs.(i) < t.seqs.(j))
+  let ti = t.times.(i) and tj = t.times.(j) in
+  ti < tj || ((not (ti > tj)) && t.seqs.(i) < t.seqs.(j))
 
 let swap t i j =
   let tm = t.times.(i) and sq = t.seqs.(i) and dt = t.data.(i) in

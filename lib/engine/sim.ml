@@ -268,7 +268,14 @@ let[@alloc.zero] rec exec_loop t horizon =
     end
     else begin
       if time > t.clock then t.instant_events <- 0;
-      t.clock <- time;
+      (* A2: the store boxes [time], one box per event, which every
+         [Sim.now] reader then shares. Moving [clock] into a float plane
+         removes this box but unboxes [now]: each [~now] handed to a
+         discipline or controller closure is then boxed at the call
+         instead. A build with the clock in [scratch] measured 4.43 ->
+         5.04 minor words per event on the 150 Mbps, 50-flow PERT cell
+         (seed 42, same event count). *)
+      (t.clock <- time) [@lint.allow "A2"];
       t.executed <- t.executed + 1;
       t.instant_events <- t.instant_events + 1;
       (match t.watchdog with

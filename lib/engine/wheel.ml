@@ -201,10 +201,12 @@ let[@inline] set_ubucket t b v = Array.unsafe_set t.buckets b v
 
 (* Key order on nodes: [(time, seq)] lexicographically. Comparing by
    node index keeps every float in its plane — a float argument to the
-   recursive helpers below would be boxed at each call. *)
+   recursive helpers below would be boxed at each call. Event times are
+   never NaN, so once [a < b] has failed, [not (a > b)] is the tie test:
+   two machine compares, where [Float.equal] is a three-way compare. *)
 let[@inline] key_lt t a b =
-  utime t a < utime t b
-  || (Float.equal (utime t a) (utime t b) && useq t a < useq t b)
+  let ta = utime t a and tb = utime t b in
+  ta < tb || ((not (ta > tb)) && useq t a < useq t b)
 
 (* Walk [prev]'s chain to the insertion point for node [n]'s key and
    splice [n] in. Toplevel and tail-recursive on int arguments: a local
@@ -252,7 +254,9 @@ let[@inline] estimate_width t =
     if t.size > 0 && span > 0.0 then 3.0 *. span /. float_of_int t.size
     else Float.infinity
   in
-  Float.min gap_est span_est
+  (* [Float.min gap_est span_est] without its C call: both are positive
+     or infinite, never NaN or a signed zero (pertalloc rule A4). *)
+  if span_est > gap_est then gap_est else span_est
 
 (* The width a relink should adopt. Keep the current one while the
    estimate stays within its [w/2, 2w) band. Two payoffs: the geometry
@@ -266,7 +270,7 @@ let[@inline] estimate_width t =
 let[@inline] next_width t =
   let w = width t and est = estimate_width t in
   if Float.is_finite est && est > 0.0 && (est < 0.5 *. w || est >= 2.0 *. w)
-  then Float.max est 1e-9
+  then if 1e-9 > est then 1e-9 else est
   else w
 
 (* Detach every chain of [buckets] from bucket [b] on, emptying each

@@ -40,19 +40,25 @@ let create ~params ~capacity_pps ~limit_pkts =
         };
     }
   in
+  (* The clamps below are [Float.max 0.0 x] and [Float.min capacity x]
+     without their C calls: on these NaN-free values the comparisons
+     return the same floats, signed zeros included (pertalloc rule A4). *)
   let[@alloc.zero] enqueue ~now ~size ~ecn pkt =
     let f = st.f in
-    let dt = Float.max 0.0 (now -. f.last_arrival) in
+    let elapsed = now -. f.last_arrival in
+    let dt = if elapsed > 0.0 then elapsed else 0.0 in
     f.last_arrival <- now;
     (* Drain the virtual queue at the virtual capacity. *)
-    f.vq <- Float.max 0.0 (f.vq -. (f.c_tilde *. dt));
+    let vq = f.vq -. (f.c_tilde *. dt) in
+    f.vq <- (if vq > 0.0 then vq else 0.0);
     (* Kunniyur-Srikant adaptation, integrated between arrivals: the
        (gamma C) term over dt, minus one packet for this arrival. *)
-    f.c_tilde <-
-      Float.min st.capacity_pps
-        (Float.max 0.0
-           (f.c_tilde
-           +. (st.p.alpha *. ((st.p.gamma *. st.capacity_pps *. dt) -. 1.0))));
+    let c =
+      f.c_tilde
+      +. (st.p.alpha *. ((st.p.gamma *. st.capacity_pps *. dt) -. 1.0))
+    in
+    let c = if c > 0.0 then c else 0.0 in
+    f.c_tilde <- (if c > st.capacity_pps then st.capacity_pps else c);
     if Queue_disc.Fifo.pkts fifo >= limit_pkts then Queue_disc.Reject
     else if f.vq +. 1.0 > st.p.virtual_buffer then
       if st.p.ecn && ecn then begin
@@ -71,8 +77,7 @@ let create ~params ~capacity_pps ~limit_pkts =
     Queue_disc.name = "avq";
     enqueue;
     dequeue;
-    pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
-    byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
+    fifo;
     capacity_pkts = limit_pkts;
     internals = Avq st;
   }

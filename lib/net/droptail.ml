@@ -13,8 +13,7 @@ let create ~limit_pkts =
     Queue_disc.name = "droptail";
     enqueue;
     dequeue;
-    pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
-    byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
+    fifo;
     capacity_pkts = limit_pkts;
     internals = Queue_disc.Opaque;
   }

@@ -80,8 +80,12 @@ let[@inline] anchor_next t = Float.Array.unsafe_get t.bs b_anchor
 let[@inline] set_anchor_next t v = Float.Array.unsafe_set t.bs b_anchor v
 
 (* Start of the next unmaterialized transmission: back-to-back with the
-   previous one, unless the server restarted later (idle, outage end). *)
-let[@inline] next_start t = Float.max (sched_free t) (restart_at t)
+   previous one, unless the server restarted later (idle, outage end).
+   [Float.max] without its C call: both are nonnegative times, never
+   NaN or a negative zero. *)
+let[@inline] next_start t =
+  let r = restart_at t and f = sched_free t in
+  if r > f then r else f
 
 let set_deliver t f = t.deliver <- f
 
@@ -207,9 +211,7 @@ let ring_pop t =
   pkt
 
 let note_queue_change t ~now =
-  (* A1: discipline access goes through a function-typed field pertalloc
-     cannot see into; every discipline's accessors are allocation-free. *)
-  let len = (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) in
+  let len = Queue_disc.pkt_length t.disc in
   if len > t.qmax then t.qmax <- len;
   Stats.Time_weighted.update t.qavg ~now ~value:(float_of_int len)
 
@@ -248,7 +250,7 @@ let rec catch_up t ~charge =
       end
 
 and catch_loop t now ~charge =
-  if (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) > 0 then begin
+  if Queue_disc.pkt_length t.disc > 0 then begin
     let start = next_start t in
     if start <= now then begin
       materialize_one t ~start ~charge;
@@ -293,7 +295,7 @@ and materialize_one t ~start ~charge =
    schedules when it strictly helps; a superseded anchor fires as a
    harmless no-op catch-up. *)
 and arm_anchor t =
-  if (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) > 0 then begin
+  if Queue_disc.pkt_length t.disc > 0 then begin
     let a = next_start t +. Time.to_s t.delay in
     if a < anchor_next t then begin
       set_anchor_next t a;
@@ -399,7 +401,7 @@ let[@alloc.zero] send t pkt =
        past: realize them before the discipline sees the new packet. *)
     catch_up t ~charge:true;
     let now = Sim.now t.sim in
-    let was_empty = (t.disc.Queue_disc.pkt_length () [@lint.allow "A1"]) = 0 in
+    let was_empty = Queue_disc.pkt_length t.disc = 0 in
     let size = Packet.size t.arena pkt in
     let ecn = Packet.ecn_capable t.arena pkt in
     match
@@ -484,7 +486,7 @@ let set_up t up =
     match t.service with
     | Eager -> if not t.busy then start_transmission t
     | Batched ->
-        if t.disc.Queue_disc.pkt_length () > 0 then begin
+        if Queue_disc.pkt_length t.disc > 0 then begin
           set_restart_at t (Sim.now t.sim);
           arm_anchor t
         end
@@ -508,7 +510,7 @@ let outage_drops t = t.outage_drops
    budget. *)
 let conservation_error t =
   catch_up t ~charge:false;
-  let queued = t.disc.Queue_disc.pkt_length () in
+  let queued = Queue_disc.pkt_length t.disc in
   let accounted = t.life_drops + queued + t.in_flight + t.delivered in
   if t.life_arrivals = accounted then None
   else
@@ -543,7 +545,7 @@ let reset_stats t =
   t.marks <- 0;
   t.bytes_sent <- 0;
   t.window_start <- Sim.now t.sim;
-  t.qmax <- t.disc.Queue_disc.pkt_length ();
+  t.qmax <- Queue_disc.pkt_length t.disc;
   Stats.Time_weighted.reset t.qavg ~now:(Sim.now t.sim)
 
 let enable_drop_trace t =
@@ -564,7 +566,7 @@ let queue_trace_kind =
       (match t.queue_trace with
       | Some (times, lengths) ->
           Fvec.push times (Sim.now t.sim);
-          Fvec.push lengths (float_of_int (t.disc.Queue_disc.pkt_length ()))
+          Fvec.push lengths (float_of_int (Queue_disc.pkt_length t.disc))
       | None -> ());
       if not (Sim.stopped t.sim) then
         Sim.after t.sim qt.qt_interval (self qt))

@@ -1,19 +1,30 @@
+(* Agents are keyed by flow id, an int: a monomorphic table hashes and
+   compares it in registers, where the polymorphic [Hashtbl] would call
+   [caml_hash] and [compare_val] on every local delivery. Flow ids are
+   distinct, so the identity is a perfect hash. *)
+module Agents = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (x : int) = x
+end)
+
 type t = {
   id : int;
   arena : Packet.arena;
   mutable routes : Link.t option array;
-  agents : (int, Packet.t -> unit) Hashtbl.t;
+  agents : (Packet.t -> unit) Agents.t;
 }
 
-let create ~arena ~id = { id; arena; routes = [||]; agents = Hashtbl.create 8 }
+let create ~arena ~id = { id; arena; routes = [||]; agents = Agents.create 8 }
 let id t = t.id
 let set_routes t routes = t.routes <- routes
 
 let route_to t dst =
   if dst < 0 || dst >= Array.length t.routes then None else t.routes.(dst)
 
-let attach_agent t ~flow handler = Hashtbl.replace t.agents flow handler
-let detach_agent t ~flow = Hashtbl.remove t.agents flow
+let attach_agent t ~flow handler = Agents.replace t.agents flow handler
+let detach_agent t ~flow = Agents.remove t.agents flow
 
 (* Consumes the packet. Local delivery ends the packet's life: the agent
    handler reads what it needs (handlers copy fields out, they never
@@ -22,9 +33,9 @@ let detach_agent t ~flow = Hashtbl.remove t.agents flow
    Forwarding transfers ownership to the next link. *)
 let receive t pkt =
   if Packet.dst t.arena pkt = t.id then begin
-    (match Hashtbl.find_opt t.agents (Packet.flow t.arena pkt) with
-    | Some handler -> handler pkt
-    | None -> ());
+    (match Agents.find t.agents (Packet.flow t.arena pkt) with
+    | handler -> handler pkt
+    | exception Not_found -> ());
     Packet.free t.arena pkt
   end
   else

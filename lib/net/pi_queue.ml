@@ -65,8 +65,7 @@ let create ~rng ~params ~limit_pkts =
     Queue_disc.name = "pi";
     enqueue;
     dequeue;
-    pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
-    byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
+    fifo;
     capacity_pkts = limit_pkts;
     internals = Pi st;
   }

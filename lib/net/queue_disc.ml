@@ -4,26 +4,6 @@ type internals += Opaque
 
 exception Empty
 
-type t = {
-  name : string;
-  enqueue : now:float -> size:int -> ecn:bool -> Packet.t -> verdict;
-  dequeue : now:float -> Packet.t;
-  pkt_length : unit -> int;
-  byte_length : unit -> int;
-  capacity_pkts : int;
-  mutable internals : internals;
-}
-
-(* Extension constructors do not survive Marshal: matching compares the
-   constructor slot physically, and unmarshalling copies it. [rehydrate]
-   rebuilds the [internals] value around the unmarshalled payload using
-   the live binary's constructor ([mk]), preserving the payload's
-   identity — the discipline's closures captured the same state record,
-   and that sharing must survive. Field 1 of the extension block is the
-   constructor's single argument (field 0 is the slot). *)
-let rehydrate d ~mk =
-  d.internals <- mk (Obj.obj (Obj.field (Obj.repr d.internals) 1))
-
 (* Power-of-two ring buffer over packet handles. Handles are immediate
    ints ([Packet.t = private int]), so the backing arrays are unboxed
    and push/pop never allocate; [Packet.none] fills vacant slots. Sizes
@@ -79,3 +59,25 @@ module Fifo = struct
   let pkts q = q.len
   let bytes q = q.bytes
 end
+
+type t = {
+  name : string;
+  enqueue : now:float -> size:int -> ecn:bool -> Packet.t -> verdict;
+  dequeue : now:float -> Packet.t;
+  fifo : Fifo.q;
+  capacity_pkts : int;
+  mutable internals : internals;
+}
+
+let[@inline] pkt_length d = Fifo.pkts d.fifo
+let[@inline] byte_length d = Fifo.bytes d.fifo
+
+(* Extension constructors do not survive Marshal: matching compares the
+   constructor slot physically, and unmarshalling copies it. [rehydrate]
+   rebuilds the [internals] value around the unmarshalled payload using
+   the live binary's constructor ([mk]), preserving the payload's
+   identity — the discipline's closures captured the same state record,
+   and that sharing must survive. Field 1 of the extension block is the
+   constructor's single argument (field 0 is the slot). *)
+let rehydrate d ~mk =
+  d.internals <- mk (Obj.obj (Obj.field (Obj.repr d.internals) 1))

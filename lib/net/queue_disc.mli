@@ -32,18 +32,43 @@ exception Empty
     ([@alloc.zero], pertalloc rules A1–A3), where a [Some _] per packet
     is a measurable cost. *)
 
+(** FIFO storage shared by discipline implementations: a power-of-two
+    ring of packet handles (unboxed int arrays — handles are immediate)
+    that allocates only on amortised doubling. *)
+module Fifo : sig
+  type q
+
+  val create : unit -> q
+
+  val push : q -> Packet.t -> size:int -> unit
+  (** [size] is remembered for {!byte_length} accounting. *)
+
+  val pop_exn : q -> Packet.t
+  (** @raise Empty when the queue holds no packets. *)
+
+  val pkts : q -> int
+end
+
 type t = {
   name : string;
   enqueue : now:float -> size:int -> ecn:bool -> Packet.t -> verdict;
       (** [size] is the packet's wire size in bytes, [ecn] whether it is
           ECN-capable — passed in so the discipline needs no arena. *)
   dequeue : now:float -> Packet.t;  (** @raise Empty when nothing is buffered *)
-  pkt_length : unit -> int;  (** packets currently buffered *)
-  byte_length : unit -> int;  (** bytes currently buffered *)
+  fifo : Fifo.q;
+      (** the buffered packets: every discipline keeps them in one FIFO,
+          which is the single source of the queue's length *)
   capacity_pkts : int;  (** buffer limit in packets *)
   mutable internals : internals;
       (** see {!type-internals}; mutable only for {!rehydrate} *)
 }
+
+val pkt_length : t -> int
+(** Packets currently buffered: a read of {!field-fifo}, which the link
+    does several times per packet, so it must not cost a call. *)
+
+val byte_length : t -> int
+(** Bytes currently buffered. *)
 
 val rehydrate : t -> mk:('st -> internals) -> unit
 (** Restore-time repair ({!Sim.Snapshot}): extension constructors do not
@@ -55,21 +80,3 @@ val rehydrate : t -> mk:('st -> internals) -> unit
     state the discipline's closures captured. Call only through the
     concrete module's [rehydrate] (it knows [mk]'s payload type); never
     on a discipline whose [internals] is a constant constructor. *)
-
-(** FIFO storage shared by discipline implementations: a power-of-two
-    ring of packet handles (unboxed int arrays — handles are immediate)
-    that allocates only on amortised doubling. *)
-module Fifo : sig
-  type q
-
-  val create : unit -> q
-
-  val push : q -> Packet.t -> size:int -> unit
-  (** [size] is remembered for {!bytes} accounting. *)
-
-  val pop_exn : q -> Packet.t
-  (** @raise Empty when the queue holds no packets. *)
-
-  val pkts : q -> int
-  val bytes : q -> int
-end

@@ -54,9 +54,10 @@ let adapt st now =
     (* A1: the [{ st.p with max_p }] copy runs at most once per
        [adapt_interval] (0.5 s of simulated time), not per packet. *)
     if st.f.avg > target_hi && mp < 0.5 then
+      let step = mp /. 4.0 in
+      let step = if step > 0.01 then 0.01 else step (* [Float.min], A4 *) in
       st.p <-
-        ({ st.p with max_p = Prob.v (mp +. Float.min 0.01 (mp /. 4.0)) }
-        [@lint.allow "A1"])
+        ({ st.p with max_p = Prob.v (mp +. step) } [@lint.allow "A1"])
     else if st.f.avg < target_lo && mp > 0.01 then
       st.p <- ({ st.p with max_p = Prob.v (mp *. 0.9) } [@lint.allow "A1"])
   end
@@ -108,7 +109,10 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     st.count <- st.count + 1;
     let pa =
       let denom = 1.0 -. (float_of_int st.count *. pb) in
-      if denom <= 0.0 then 1.0 else Float.min 1.0 (pb /. denom)
+      if denom <= 0.0 then 1.0
+      else
+        let pa = pb /. denom in
+        if pa > 1.0 then 1.0 else pa (* [Float.min 1.0 pa], rule A4 *)
     in
     if Sim_engine.Rng.bernoulli rng (Prob.v pa) then begin
       st.count <- 0;
@@ -156,8 +160,7 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     Queue_disc.name = "red";
     enqueue;
     dequeue;
-    pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
-    byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
+    fifo;
     capacity_pkts = limit_pkts;
     internals = Red st;
   }

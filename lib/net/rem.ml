@@ -55,12 +55,14 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     while f.next_update <= now do
       let backlog = float_of_int (Queue_disc.Fifo.pkts fifo) in
       let rate = float_of_int st.arrivals_in_interval /. sample_interval in
-      f.price <-
-        Float.max 0.0
-          (f.price
-          +. (st.p.gamma
-             *. ((st.p.alpha *. (backlog -. st.p.b_ref))
-                +. ((rate -. st.capacity_pps) *. sample_interval))));
+      let price =
+        f.price
+        +. (st.p.gamma
+           *. ((st.p.alpha *. (backlog -. st.p.b_ref))
+              +. ((rate -. st.capacity_pps) *. sample_interval)))
+      in
+      (* [Float.max 0.0 price] without its C call (pertalloc rule A4). *)
+      f.price <- (if price > 0.0 then price else 0.0);
       st.arrivals_in_interval <- 0;
       f.next_update <- f.next_update +. sample_interval
     done
@@ -85,8 +87,7 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     Queue_disc.name = "rem";
     enqueue;
     dequeue;
-    pkt_length = (fun () -> Queue_disc.Fifo.pkts fifo);
-    byte_length = (fun () -> Queue_disc.Fifo.bytes fifo);
+    fifo;
     capacity_pkts = limit_pkts;
     internals = Rem st;
   }

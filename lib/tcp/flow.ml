@@ -33,9 +33,13 @@ let challenge_min_gap = Units.Time.s 0.05
 let no_ts_echo = Float.nan
 
 (* Receiver-side set of out-of-order intervals [(first, last_exclusive)],
-   sorted, disjoint, all strictly above rcv_next. *)
+   sorted, disjoint, all strictly above rcv_next. The [int] annotations
+   keep the comparisons machine compares: unannotated, [consume] and
+   [containing] would compare through [compare_val]. For the same reason
+   callers test the list and option results by shape ([List.is_empty],
+   [Option.is_some]), never with a polymorphic [<>]. *)
 module Intervals = struct
-  let rec insert seq = function
+  let rec insert (seq : int) = function
     | [] -> [ (seq, seq + 1) ]
     | ((lo, hi) :: rest) as all ->
         if seq + 1 < lo then (seq, seq + 1) :: all
@@ -51,7 +55,7 @@ module Intervals = struct
 
   (* Advance the cumulative point through any interval starting at [next];
      returns (new_next, remaining_intervals). *)
-  let consume next = function
+  let consume (next : int) = function
     | (lo, hi) :: rest when lo = next -> (hi, rest)
     | intervals -> (next, intervals)
 
@@ -59,7 +63,7 @@ module Intervals = struct
     | [] -> []
     | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
 
-  let rec containing seq = function
+  let rec containing (seq : int) = function
     | [] -> None
     | (lo, hi) :: rest ->
         if seq >= lo && seq < hi then Some (lo, hi) else containing seq rest
@@ -206,7 +210,13 @@ let outstanding t = t.snd_next - t.snd_una
 let has_data t =
   match t.total with None -> true | Some n -> t.snd_next < n
 
-let effective_cwnd t = Float.min t.window.Cc.Window.cwnd t.max_cwnd
+(* [Float.min], minus its C call: the two agree on every input here —
+   the window is never NaN, and [max_cwnd] is positive, so no signed
+   zero reaches the tie. The same holds for the rewritten [Float.min]/
+   [Float.max] calls in Rto, Srtt and Link (pertalloc rule A4). *)
+let effective_cwnd t =
+  let cwnd = t.window.Cc.Window.cwnd in
+  if t.max_cwnd > cwnd then cwnd else t.max_cwnd
 
 (* --- window accounting -------------------------------------------------- *)
 
@@ -257,7 +267,7 @@ let next_hole t =
     else if s + 3 > t.max_sacked then None (* not yet presumed lost *)
     else Some s
   in
-  let from = max t.retx_scan t.snd_una in
+  let from = Int.max t.retx_scan t.snd_una in
   match go from with
   | Some s ->
       t.retx_scan <- s;
@@ -319,7 +329,7 @@ and try_send t =
         | Some hole ->
             Scoreboard.mark_retx t.scoreboard hole;
             (* the lost original leaves the pipe as its replacement enters *)
-            t.pipe <- max 0 (t.pipe - 1);
+            t.pipe <- Int.max 0 (t.pipe - 1);
             send_data t ~seq:hole ~retransmit:true;
             progress := true
         | None ->
@@ -555,7 +565,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
   if ack >= t.snd_una then t.peer_adv <- W.Adv.of_field wnd_field;
   if t.in_persist && peer_limit_pkts t > 0 then exit_persist t;
   let fresh_sacked = record_sack t 0 sack in
-  t.pipe <- max 0 (t.pipe - fresh_sacked);
+  t.pipe <- Int.max 0 (t.pipe - fresh_sacked);
   (* ECN echo: one multiplicative decrease per RTT, no retransmission. *)
   if
     t.ecn && ecn_echo
@@ -578,7 +588,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
     let purged = Scoreboard.advance t.scoreboard ack in
     (* The purged segments already left the pipe when they were SACKed;
        the rest of the range leaves it now. *)
-    t.pipe <- max 0 (t.pipe - (newly_acked - purged));
+    t.pipe <- Int.max 0 (t.pipe - (newly_acked - purged));
     (* With nothing outstanding the pipe is empty by definition; this
        also repairs any accounting drift from reordering across a
        timeout. *)
@@ -623,9 +633,10 @@ let send_ack t ~seq ~marked ~stamp =
   let sack =
     match Intervals.containing seq t.ooo with
     | None -> Intervals.take 3 t.ooo
-    | Some block ->
+    | Some ((blo, _) as block) ->
+        (* the intervals are disjoint: [lo] alone identifies [block] *)
         block
-        :: Intervals.take 2 (List.filter (fun b -> b <> block) t.ooo)
+        :: Intervals.take 2 (List.filter (fun (lo, _) -> lo <> blo) t.ooo)
   in
   let ack_pkt =
     Packet.ack t.arena ~flow:t.id ~src:(Node.id t.dst) ~dst:(Node.id t.src)
@@ -686,7 +697,7 @@ let on_data t ~seq ~marked ~stamp =
   let in_order = seq = t.rcv_next in
   let dup =
     (not in_order)
-    && (seq < t.rcv_next || Intervals.containing seq t.ooo <> None)
+    && (seq < t.rcv_next || Option.is_some (Intervals.containing seq t.ooo))
   in
   (* Checksum-equivalent admission: a segment only occupies buffer (and
      advances the connection) if the receive window can hold it. *)
@@ -712,7 +723,8 @@ let on_data t ~seq ~marked ~stamp =
      window, which is what throttles the sender). *)
   if
     (not t.delayed_acks)
-    || (not in_order) || rejected || marked || t.ooo <> []
+    || (not in_order) || rejected || marked
+    || not (List.is_empty t.ooo)
   then begin
     t.pending_acks <- 0;
     t.delack_gen <- t.delack_gen + 1;
@@ -786,7 +798,7 @@ let on_rst_at_receiver t seq =
   end
   else begin
     let limit_pkts =
-      max 1 (Size.to_bytes (W.available t.rcv_space) / Packet.mss)
+      Int.max 1 (Size.to_bytes (W.available t.rcv_space) / Packet.mss)
     in
     if seq > t.rcv_next && seq <= t.rcv_next + limit_pkts then send_challenge t
     else t.rsts_ignored <- t.rsts_ignored + 1

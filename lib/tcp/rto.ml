@@ -23,7 +23,16 @@ let create ?(min_rto = Units.Time.s 0.2) ?(max_rto = Units.Time.s 60.0)
     has_sample = false;
   }
 
-let clamp t x = Float.min t.max_rto (Float.max t.min_rto x)
+(* [Float.min max_rto (Float.max min_rto x)] without their sign-of-zero
+   C calls: the bounds are positive and [x] is never NaN, so the results
+   agree. Each branch returns its float directly: the record is mixed,
+   so the store boxes only a computed [x], and a bound is stored as the
+   box it already has (binding the inner [max] to a name would box it
+   on every call). *)
+let clamp t x =
+  if x > t.min_rto then if x > t.max_rto then t.max_rto else x
+  else if t.min_rto > t.max_rto then t.max_rto
+  else t.min_rto
 
 let observe t sample =
   let sample = Units.Time.to_s sample in
@@ -42,6 +51,8 @@ let observe t sample =
   t.backoff_mult <- 1.0;
   t.rto <- clamp t (t.srtt +. (4.0 *. t.rttvar))
 
-let value t = Units.Time.s (Float.min t.max_rto (t.rto *. t.backoff_mult))
+let value t =
+  let v = t.rto *. t.backoff_mult in
+  Units.Time.s (if v > t.max_rto then t.max_rto else v)
 let backoff t = t.backoff_mult <- Float.min 64.0 (t.backoff_mult *. 2.0)
 let srtt t = if t.has_sample then Some (Units.Time.s t.srtt) else None

@@ -62,9 +62,13 @@ module Size = struct
   let to_bytes t = t
   let zero = 0
   let add a b = a + b
-  let sub a b = if a <= b then 0 else a - b
-  let min a b = if a <= b then a else b
-  let max a b = if a >= b then a else b
+  (* The annotations matter: the .mli's [t] does not reach the
+     implementation, so an unannotated [min]/[max] would be polymorphic
+     and each use would call [caml_lessequal] instead of one machine
+     compare ([sub]'s [a - b] pins it to int anyway). *)
+  let sub (a : int) b = if a <= b then 0 else a - b
+  let min (a : int) b = if a <= b then a else b
+  let max (a : int) b = if a >= b then a else b
   let compare = Int.compare
   let equal = Int.equal
   let bits t = float_of_int (8 * t)
@@ -102,7 +106,7 @@ module Prob = struct
   let positive t = t > 0.0
   let complement t = 1.0 -. t
   let scale k t = v (k *. t)
-  let sample t ~u = u < t
+  let sample (t : float) ~u = u < t (* annotated: see [Size.min] *)
   let equal = Float.equal
   let compare = Float.compare
   let pp fmt t = Format.fprintf fmt "%g" t

@@ -1,7 +1,7 @@
 (* End-to-end tests for tools/pertlint/pertalloc: the interprocedural
-   allocation-effect analysis runs as a subprocess over the fixture
-   .cmt files in test/alloc_fixtures. Every rule is exercised as a
-   pair: a true positive asserting the documented diagnostic, location
+   allocation-effect analysis (and the comparison-call rule A4 that
+   shares its call graph) runs as a subprocess over the fixture .cmt
+   files in test/alloc_fixtures. Every rule is exercised as a pair: a true positive asserting the documented diagnostic, location
    and (for A1) the interprocedural call chain, and a structurally-
    matched true negative that must stay silent.
 
@@ -56,17 +56,18 @@ let tagged rule lines =
   List.filter (fun l -> contains_sub l (Printf.sprintf "[%s]" rule)) lines
 
 (* A true positive: pertalloc on the fixture alone exits 1 with exactly
-   one line carrying the rule tag, pinned to the documented location and
-   containing every documented message fragment. *)
-let fires ~rule ~modname ~loc ~fragments () =
+   [findings] lines carrying the rule tag (one per documented case in
+   the fixture), exactly one of them pinned to the documented location,
+   and that one containing every documented message fragment. *)
+let fires ~findings ~rule ~modname ~loc ~fragments () =
   let code, lines = run alloc_exe [ fixture_cmt modname ] in
   check_int (rule ^ " exit code") 1 code;
-  match tagged rule lines with
+  let hits = tagged rule lines in
+  check_int
+    (Printf.sprintf "[%s] lines for %s" rule modname)
+    findings (List.length hits);
+  match List.filter (fun l -> contains_sub l (loc ^ ":")) hits with
   | [ line ] ->
-      check_bool
-        (Printf.sprintf "%s flagged at %s" rule loc)
-        true
-        (contains_sub line (loc ^ ":"));
       List.iter
         (fun frag ->
           check_bool
@@ -74,8 +75,8 @@ let fires ~rule ~modname ~loc ~fragments () =
             true (contains_sub line frag))
         fragments
   | other ->
-      Alcotest.failf "%s: expected exactly one [%s] line, got %d" rule rule
-        (List.length other)
+      Alcotest.failf "%s: expected exactly one [%s] line at %s, got %d" rule
+        rule loc (List.length other)
 
 (* A true negative: the structurally-matched clean fixture produces no
    output at all and exits 0. *)
@@ -87,7 +88,7 @@ let silent ~modname () =
 (* A1: the allocation is two calls away from the annotated root, and
    the diagnostic must spell out the interprocedural chain. *)
 let a1_chain_true_positive =
-  fires ~rule:"A1" ~modname:"A1_bad" ~loc:"test/alloc_fixtures/a1_bad.ml:4"
+  fires ~findings:1 ~rule:"A1" ~modname:"A1_bad" ~loc:"test/alloc_fixtures/a1_bad.ml:4"
     ~fragments:
       [
         "constructor '::' allocation";
@@ -96,7 +97,8 @@ let a1_chain_true_positive =
       ]
 
 let a2_float_option_true_positive =
-  fires ~rule:"A2" ~modname:"A2_bad" ~loc:"test/alloc_fixtures/a2_bad.ml:5"
+  fires ~findings:2 ~rule:"A2" ~modname:"A2_bad"
+    ~loc:"test/alloc_fixtures/a2_bad.ml:5"
     ~fragments:
       [
         "'Some' of a float allocates an option cell around a boxed float";
@@ -104,8 +106,49 @@ let a2_float_option_true_positive =
         "directly in the annotated body";
       ]
 
+(* A float let-bound to a computed value stays unboxed until a store
+   into a mixed record boxes it: an identifier on the right-hand side
+   can still mint a box. *)
+let a2_let_bound_store_true_positive =
+  fires ~findings:2 ~rule:"A2" ~modname:"A2_bad"
+    ~loc:"test/alloc_fixtures/a2_bad.ml:15"
+    ~fragments:
+      [
+        "computed float stored into mixed-representation field 'now' is \
+         boxed";
+        "[@alloc.zero] 'A2_bad.advance'";
+      ]
+
+(* A4: a polymorphic comparison two calls deep, a Float.max and a
+   Stdlib.max at int, each at its own line. *)
+let a4_fires ~loc ~fragments =
+  fires ~findings:3 ~rule:"A4" ~modname:"A4_bad"
+    ~loc:("test/alloc_fixtures/a4_bad.ml:" ^ loc)
+    ~fragments
+
+let a4_polymorphic_compare =
+  a4_fires ~loc:"6"
+    ~fragments:
+      [
+        "'<' at a type the compiler cannot specialise calls compare_val";
+        "call chain: A4_bad.admit -> A4_bad.within";
+      ]
+
+let a4_float_max =
+  a4_fires ~loc:"8"
+    ~fragments:
+      [ "'Float.max' calls caml_signbit"; "[@alloc.zero] 'A4_bad.clamp'" ]
+
+let a4_stdlib_max =
+  a4_fires ~loc:"9"
+    ~fragments:
+      [
+        "'max' compares through compare_val at every type";
+        "[@alloc.zero] 'A4_bad.larger'";
+      ]
+
 let a3_loop_closure_true_positive =
-  fires ~rule:"A3" ~modname:"A3_bad" ~loc:"test/alloc_fixtures/a3_bad.ml:6"
+  fires ~findings:1 ~rule:"A3" ~modname:"A3_bad" ~loc:"test/alloc_fixtures/a3_bad.ml:6"
     ~fragments:
       [
         "per-iteration local function 'f' rebuilds a closure capturing \
@@ -131,10 +174,11 @@ let whole_tree_finding_counts () =
   let code, lines = run alloc_exe [ "--stats"; fixture_dir ] in
   check_int "whole-tree exit code" 1 code;
   check_int "one A1 finding" 1 (List.length (tagged "A1" lines));
-  check_int "one A2 finding" 1 (List.length (tagged "A2" lines));
+  check_int "two A2 findings" 2 (List.length (tagged "A2" lines));
   check_int "one A3 finding" 1 (List.length (tagged "A3" lines));
+  check_int "three A4 findings" 3 (List.length (tagged "A4" lines));
   check_bool "stats total" true
-    (List.exists (fun l -> contains_sub l "total: 3 violation(s)") lines)
+    (List.exists (fun l -> contains_sub l "total: 7 violation(s)") lines)
 
 let json_format () =
   let code, lines = run alloc_exe [ "--format=json"; fixture_cmt "A2_bad" ] in
@@ -191,6 +235,8 @@ let () =
            a2_float_option_true_positive);
           ("computed stores into a flat float record are silent", `Quick,
            silent ~modname:"A2_ok");
+          ("let-bound computed float stored into a mixed record", `Quick,
+           a2_let_bound_store_true_positive);
         ] );
       ( "a3-loop-closures",
         [
@@ -198,6 +244,15 @@ let () =
            a3_loop_closure_true_positive);
           ("hoisted toplevel helper in the loop is silent", `Quick,
            silent ~modname:"A3_ok");
+        ] );
+      ( "a4-compare-calls",
+        [
+          ("polymorphic comparison reached through a call", `Quick,
+           a4_polymorphic_compare);
+          ("Float.max on the hot path", `Quick, a4_float_max);
+          ("Stdlib.max at int", `Quick, a4_stdlib_max);
+          ("specialised comparisons are silent", `Quick,
+           silent ~modname:"A4_ok");
         ] );
       ( "driver",
         [

@@ -110,13 +110,13 @@ let droptail_tail_drop () =
   (match enq ~seq:3 q a ~now:0.0 with
   | Queue_disc.Reject -> ()
   | _ -> Alcotest.fail "should tail-drop at limit");
-  check_int "pkt length" 3 (q.Queue_disc.pkt_length ());
-  check_int "byte length" (3 * Packet.data_size) (q.Queue_disc.byte_length ());
+  check_int "pkt length" 3 (Queue_disc.pkt_length q);
+  check_int "byte length" (3 * Packet.data_size) (Queue_disc.byte_length q);
   (* FIFO order out *)
   (match q.Queue_disc.dequeue ~now:0.0 with
   | p -> check_int "fifo head" 0 (Packet.seq a p)
   | exception Queue_disc.Empty -> Alcotest.fail "dequeue");
-  check_int "length after dequeue" 2 (q.Queue_disc.pkt_length ())
+  check_int "length after dequeue" 2 (Queue_disc.pkt_length q)
 
 let droptail_validation () =
   Alcotest.check_raises "bad limit"
@@ -722,6 +722,221 @@ let node_agent_demux () =
   Sim.run sim;
   check_int "detached agent silent" 1 !hits_1
 
+(* The node looks agents up in an int-keyed table. Deliveries that
+   alternate between two flows (one of them negative, as CBR ids are)
+   must each reach their own handler; a detached flow's handler must
+   never run again, and a re-attached flow must reach its new handler;
+   every locally addressed packet is freed. Local delivery is
+   synchronous, so no simulation is needed. The CBR id is -1, the first
+   one [Cbr.fresh_cbr_id] hands out. *)
+let node_agent_dispatch () =
+  let arena = Packet.create_arena () in
+  let node = Node.create ~arena ~id:0 in
+  let deliver flow seq =
+    Node.receive node
+      (Packet.data arena ~flow ~src:1 ~dst:0 ~seq ~ecn:false ~now:0.0 ())
+  in
+  let log = ref [] in
+  let record tag p = log := (tag, Packet.seq arena p) :: !log in
+  Node.attach_agent node ~flow:1 (record "one");
+  Node.attach_agent node ~flow:(-1) (record "cbr");
+  for i = 0 to 3 do
+    deliver (-1) i;
+    deliver 1 i
+  done;
+  deliver 1 4;
+  deliver 1 5;
+  Alcotest.(check (list (pair string int)))
+    "alternating flows reach their own handlers"
+    [
+      ("cbr", 0); ("one", 0); ("cbr", 1); ("one", 1); ("cbr", 2); ("one", 2);
+      ("cbr", 3); ("one", 3); ("one", 4); ("one", 5);
+    ]
+    (List.rev !log);
+  check_int "all delivered packets freed" 0 (Packet.live arena);
+  (* Flow 1 was the last flow delivered; detaching it silences it. *)
+  log := [];
+  Node.detach_agent node ~flow:1;
+  deliver 1 6;
+  check_int "detached flow is silent" 0 (List.length !log);
+  check_int "packet to a detached flow is freed" 0 (Packet.live arena);
+  (* Detach a flow right after one of its packets, too. *)
+  deliver (-1) 7;
+  Node.detach_agent node ~flow:(-1);
+  deliver (-1) 8;
+  Alcotest.(check (list (pair string int)))
+    "detached CBR flow is silent" [ ("cbr", 7) ] (List.rev !log);
+  (* Re-attaching installs the new handler, never the old one. *)
+  log := [];
+  Node.attach_agent node ~flow:1 (record "again");
+  deliver 1 9;
+  deliver 1 10;
+  Alcotest.(check (list (pair string int)))
+    "re-attached flow uses its new handler"
+    [ ("again", 9); ("again", 10) ]
+    (List.rev !log);
+  (* A handler that detaches its own flow, as a closing connection
+     does: the next packet of that flow finds no handler. *)
+  log := [];
+  Node.attach_agent node ~flow:2 (fun p ->
+      record "closing" p;
+      Node.detach_agent node ~flow:2);
+  deliver 2 11;
+  deliver 2 12;
+  Alcotest.(check (list (pair string int)))
+    "handler that detached itself runs once" [ ("closing", 11) ]
+    (List.rev !log);
+  check_int "nothing leaked" 0 (Packet.live arena)
+
+(* [Queue_disc.pkt_length]/[byte_length] read the discipline's FIFO. For
+   each of the five disciplines, configured to accept everything, push
+   past the ring's initial 64 slots (a grow) and then drain and refill so
+   the ring wraps; the lengths must track a model of the queue, with
+   data and ACK sizes mixed, and packets must leave in FIFO order. *)
+let queue_disc_lengths_track_fifo () =
+  let accept_all =
+    [
+      ("droptail", fun () -> Droptail.create ~limit_pkts:1000);
+      ( "red",
+        fun () ->
+          Red.create ~rng:(Rng.create 1)
+            ~params:
+              {
+                Red.wq = 0.002;
+                min_th = 1e6;
+                max_th = 2e6;
+                max_p = Units.Prob.v 0.1;
+                gentle = false;
+                adaptive = false;
+                ecn = false;
+              }
+            ~capacity_pps:1000.0 ~limit_pkts:1000 );
+      ( "pi",
+        fun () ->
+          Pi_queue.create ~rng:(Rng.create 1)
+            ~params:
+              {
+                Pi_queue.a = 0.0;
+                b = 0.0;
+                q_ref = 0.0;
+                sample_interval = ts 0.01;
+                ecn = false;
+              }
+            ~limit_pkts:1000 );
+      ( "rem",
+        fun () ->
+          Rem.create ~rng:(Rng.create 1)
+            ~params:
+              { (Rem.default_params ~capacity_pps:1000.0) with Rem.gamma = 0.0 }
+            ~capacity_pps:1000.0 ~limit_pkts:1000 );
+      ( "avq",
+        fun () ->
+          Avq.create
+            ~params:{ (Avq.default_params ()) with Avq.virtual_buffer = 1e9 }
+            ~capacity_pps:1000.0 ~limit_pkts:1000 );
+    ]
+  in
+  List.iter
+    (fun (name, make) ->
+      let q = make () in
+      let a = Packet.create_arena () in
+      let model = Queue.create () in
+      let now = ref 0.0 in
+      let push i =
+        let pkt =
+          if i mod 3 = 0 then
+            Packet.ack a ~flow:0 ~src:1 ~dst:0 ~ack:i ~sack:[] ~ecn_echo:false
+              ~ts_echo:0.0 ~window:65535 ~now:!now ()
+          else mk_data ~seq:i a
+        in
+        let size = Packet.size a pkt in
+        now := !now +. 0.001;
+        (match q.Queue_disc.enqueue ~now:!now ~size ~ecn:false pkt with
+        | Queue_disc.Accept -> Queue.add (i, size) model
+        | _ -> Alcotest.failf "%s rejected packet %d" name i)
+      in
+      let pop () =
+        now := !now +. 0.001;
+        let pkt = q.Queue_disc.dequeue ~now:!now in
+        let i, _ = Queue.take model in
+        check_int (name ^ " fifo order") i (Packet.seq a pkt);
+        Packet.free a pkt
+      in
+      let check what =
+        check_int
+          (Printf.sprintf "%s pkt_length %s" name what)
+          (Queue.length model) (Queue_disc.pkt_length q);
+        check_int
+          (Printf.sprintf "%s byte_length %s" name what)
+          (Queue.fold (fun acc (_, s) -> acc + s) 0 model)
+          (Queue_disc.byte_length q)
+      in
+      check "empty";
+      for i = 0 to 99 do
+        push i
+      done;
+      check "after growing past 64";
+      for _ = 1 to 60 do
+        pop ()
+      done;
+      check "after draining";
+      for i = 100 to 189 do
+        push i
+      done;
+      check "after wrapping";
+      while not (Queue.is_empty model) do
+        pop ()
+      done;
+      check "drained";
+      check_int (name ^ " no leaked packets") 0 (Packet.live a))
+    accept_all
+
+(* Eager and batched service agree on a link whose packets come in
+   three sizes (data, pure ACK, persist probe), interleaved, so that
+   every packet's transmission time depends on its own size. *)
+let link_eager_matches_batched_mixed_sizes () =
+  let run service =
+    let sim = Sim.create ~seed:5 () in
+    let a = Packet.create_arena () in
+    let link = link_fixture ~service ~limit:20 sim a in
+    let deliveries = ref [] in
+    Link.set_deliver link (fun p ->
+        deliveries :=
+          (Packet.seq a p, Packet.size a p, Sim.now sim) :: !deliveries;
+        Packet.free a p);
+    let mixed i =
+      match i mod 5 with
+      | 0 | 2 -> mk_data ~seq:i a
+      | 1 | 3 ->
+          Packet.ack a ~flow:0 ~src:1 ~dst:0 ~ack:i ~sack:[] ~ecn_echo:false
+            ~ts_echo:0.0 ~window:65535 ~now:0.0 ()
+      | _ -> Packet.probe a ~flow:0 ~src:0 ~dst:1 ~seq:i ~now:0.0 ()
+    in
+    let send_burst t0 n base =
+      Sim.at sim (ts t0) (thunk (fun () ->
+          for i = 0 to n - 1 do
+            Link.send link (mixed (base + i))
+          done))
+    in
+    send_burst 0.0 12 0;
+    send_burst 0.02 7 100;  (* lands mid-service *)
+    send_burst 0.3 9 200;  (* restart after a fully idle period *)
+    Sim.run sim;
+    (match Link.conservation_error link with
+    | None -> ()
+    | Some e -> Alcotest.fail e);
+    (List.rev !deliveries, Packet.live a)
+  in
+  let d_e, live_e = run Link.Eager in
+  let d_b, live_b = run Link.Batched in
+  Alcotest.(check (list (triple int int (float 0.0))))
+    "identical deliveries" d_e d_b;
+  check_int "all delivered" 28 (List.length d_b);
+  check_int "three sizes on the wire" 3
+    (List.length (List.sort_uniq compare (List.map (fun (_, s, _) -> s) d_b)));
+  check_int "no leaked packets (eager)" 0 live_e;
+  check_int "no leaked packets (batched)" 0 live_b
+
 (* --- Tracer -------------------------------------------------------------- *)
 
 let tracer_records_lifecycle () =
@@ -817,4 +1032,8 @@ let suite =
     ("rem default params", `Quick, rem_default_params_sane);
     ("tracer records lifecycle", `Quick, tracer_records_lifecycle);
     ("tracer flags", `Quick, tracer_marks_flags);
+    ("node agent dispatch", `Quick, node_agent_dispatch);
+    ("queue lengths track the fifo", `Quick, queue_disc_lengths_track_fifo);
+    ("link eager matches batched, mixed sizes", `Quick,
+      link_eager_matches_batched_mixed_sizes);
   ]

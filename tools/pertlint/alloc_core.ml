@@ -18,6 +18,11 @@
          into non-flat records)
      A3  closure allocation inside a loop body on such a path (per-
          iteration closure rebuilds, partial applications in loops)
+     A4  a C call that only compares numbers on such a path: a
+         comparison primitive at a type the compiler cannot specialise
+         (it becomes [compare_val]), [Stdlib.min]/[max] (whose bodies
+         compare generically at every type), and the [Float.min]/[max]
+         family (a [caml_signbit] call to order signed zeros)
 
    Design decisions that keep the signal honest (see DESIGN.md §6):
    - The outermost lambda spine of a function is stripped: directly
@@ -33,8 +38,10 @@
    - Recursive bodies and loop bodies are "per-iteration" contexts:
      closures built there are A3, not A1.
    - A float store into a mixed-representation record is only a boxing
-     site when the stored value is *computed* (an application); storing
-     an identifier/constant/field-read moves an existing pointer.
+     site when the stored value is *computed* (an application, or an
+     identifier let-bound to one: ocamlopt keeps such a float unboxed
+     and boxes it anew at the store); storing a parameter, constant or
+     field read moves an existing pointer.
    - Stdlib entries come from a trusted table (nonalloc / iterator /
      allocating); anything unknown is conservatively allocating. *)
 
@@ -74,6 +81,12 @@ type node = {
 
 let nodes : (nkey, node) Hashtbl.t = Hashtbl.create 512
 let node_order : node list ref = ref []
+
+(* Type declarations of every analysed unit, keyed like values (defining
+   module basename, type name), so A4 can tell a constant-constructor
+   variant (an immediate, compared as an int) from a record or a
+   variant with arguments. *)
+let type_decls : (gref, Types.type_declaration) Hashtbl.t = Hashtbl.create 256
 
 (* Value-parameter count of a function body: directly nested single-case
    [fun]s form one n-ary lambda spine.  Used to tell a partial
@@ -137,6 +150,19 @@ let raise_heads =
    compiler when the argument type is known to be float, so they do not
    appear here; [min]/[max] are ordinary functions and do. *)
 let polycmp_heads = tbl_of_list [ ("Stdlib", "min"); ("Stdlib", "max") ]
+
+(* A4: comparison primitives, specialised to machine compares only at
+   the types [cmp_specialised] accepts. *)
+let cmp_prims =
+  tbl_of_list
+    (List.map (fun v -> ("Stdlib", v)) [ "="; "<>"; "<"; ">"; "<="; ">="; "compare" ])
+
+(* A4: NaN-aware float orderings that call [caml_signbit] to put [-0.0]
+   below [0.0]. *)
+let float_order_heads =
+  tbl_of_list
+    (List.map (fun v -> ("Float", v))
+       [ "min"; "max"; "min_max"; "min_num"; "max_num"; "min_max_num" ])
 
 (* Calls that allocate nothing.  Trust caveat (DESIGN.md §6): a
    float-returning entry here may still box its result when the caller
@@ -306,6 +332,11 @@ let register_unit ~idx ctx (l : loaded) =
             | Tmod_constraint ({ mod_desc = Tmod_structure s; _ }, _, _, _) ->
                 items name s.str_items
             | _ -> ())
+        | Tstr_type (_, tds) ->
+            List.iter
+              (fun (td : Typedtree.type_declaration) ->
+                Hashtbl.replace type_decls (qual, td.typ_name.txt) td.typ_type)
+              tds
         | _ -> ())
       its
   in
@@ -358,11 +389,72 @@ let capture_count ctx (lam : Typedtree.expression) =
   iter.expr iter lam;
   List.length !caps
 
-(* A store of this expression into a float slot mints a new box; an
-   identifier / constant / field read moves an existing pointer. *)
-let rec rhs_computed (v : Typedtree.expression) =
+(* Does the compiler turn a comparison at [ty] into machine compares?
+   It does for int-like types (int, char, bool, unit, constant-only
+   variants), float, string, bytes and the boxed integers, looking
+   through abbreviations and [private] ones ([Units.Prob.t]); anything
+   else, a type variable above all, compiles to [compare_val]. A type
+   this analysis cannot see (no declaration in scope) counts as
+   specialised, so A4 reports only comparisons it can show generic. *)
+let specialised_paths =
+  Predef.
+    [
+      path_int; path_char; path_bool; path_unit; path_float; path_string;
+      path_bytes; path_int32; path_int64; path_nativeint;
+    ]
+
+let rec cmp_specialised ctx depth ty =
+  depth > 8
+  ||
+  match Types.get_desc ty with
+  | Tvar _ | Tunivar _ | Ttuple _ | Tarrow _ | Tobject _ | Tpackage _ -> false
+  | Tpoly (t, _) -> cmp_specialised ctx (depth + 1) t
+  | Tvariant row ->
+      List.for_all
+        (fun (_, f) ->
+          match Types.row_field_repr f with
+          | Types.Rpresent (Some _) -> false
+          | _ -> true)
+        (Types.row_fields row)
+  | Tconstr (p, _, _) -> (
+      List.exists (Path.same p) specialised_paths
+      ||
+      match p with
+      | Path.Pident id when Ident.is_predef id -> false
+      | _ -> (
+          let key =
+            match p with
+            | Path.Pdot (pre, name) ->
+                Some (resolve_alias ctx (path_last_mod pre), name)
+            | Path.Pident id -> Some (ctx.x_mod, Ident.name id)
+            | _ -> None
+          in
+          match Option.bind key (Hashtbl.find_opt type_decls) with
+          | None -> true
+          | Some decl -> (
+              match (decl.type_kind, decl.type_manifest) with
+              | Type_abstract, Some m -> cmp_specialised ctx (depth + 1) m
+              | Type_abstract, None -> true
+              | Type_variant (cds, _), _ ->
+                  List.for_all
+                    (fun (cd : Types.constructor_declaration) ->
+                      match cd.cd_args with
+                      | Cstr_tuple [] -> true
+                      | _ -> false)
+                    cds
+              | (Type_record _ | Type_open), _ -> false)))
+  | _ -> true
+
+(* A store of this expression into a float slot mints a new box; a
+   parameter / constant / field read moves an existing pointer.
+   [computed_ident] says whether a local was let-bound to a computed
+   float, which ocamlopt keeps unboxed until the store. *)
+let rec rhs_computed ?(computed_ident = fun (_ : Path.t) -> false)
+    (v : Typedtree.expression) =
+  let rhs_computed = rhs_computed ~computed_ident in
   match v.exp_desc with
   | Texp_apply _ -> true
+  | Texp_ident (p, _, _) -> computed_ident p
   | Texp_ifthenelse (_, t, f) ->
       rhs_computed t || Option.fold ~none:false ~some:rhs_computed f
   | Texp_sequence (_, b)
@@ -394,6 +486,14 @@ let walk_node ~idx ctx (n : node) =
         :: n.n_sites
   in
   let add_edge k = if !raise_depth = 0 then n.n_edges <- k :: n.n_edges in
+  (* Locals let-bound to a computed float (A2): ident stamps are unique
+     within the unit, so one set serves the whole body. *)
+  let computed_floats : (string, unit) Hashtbl.t = Hashtbl.create 8 in
+  let computed_ident (p : Path.t) =
+    match classify_path ctx p with
+    | Local id -> Hashtbl.mem computed_floats (Ident.unique_name id)
+    | G _ | Opaque -> false
+  in
   let closure_rule () = if !loop_depth > 0 then "A3" else "A1" in
   let in_loop f =
     incr loop_depth;
@@ -451,6 +551,11 @@ let walk_node ~idx ctx (n : node) =
                 charge_closure
                   (Printf.sprintf "local function '%s'" name.txt)
                   vb.vb_expr
+            | Some (id, _), _
+              when is_float_ty vb.vb_expr.exp_type
+                   && rhs_computed ~computed_ident vb.vb_expr ->
+                Hashtbl.replace computed_floats (Ident.unique_name id) ();
+                with_allows vb.vb_attributes (fun () -> walk vb.vb_expr)
             | _ ->
                 with_allows vb.vb_attributes (fun () -> walk vb.vb_expr))
           vbs;
@@ -502,7 +607,7 @@ let walk_node ~idx ctx (n : node) =
         if
           is_float_ty lbl.lbl_arg
           && (not (flat_float_store lbl))
-          && rhs_computed v
+          && rhs_computed ~computed_ident v
         then
           add_site "A2"
             (Printf.sprintf
@@ -594,6 +699,40 @@ let walk_node ~idx ctx (n : node) =
                     e.exp_loc;
                   walk_args ()
                 end
+                else if Hashtbl.mem polycmp_heads r then begin
+                  add_site "A4"
+                    (Printf.sprintf
+                       "'%s' compares through compare_val at every type; use \
+                        Int.%s or the comparison at the operand type"
+                       (snd r) (snd r))
+                    e.exp_loc;
+                  walk_args ()
+                end
+                else if
+                  Hashtbl.mem cmp_prims r
+                  &&
+                  match some_args with
+                  | a :: _ -> not (cmp_specialised ctx 0 a.exp_type)
+                  | [] -> false
+                then begin
+                  add_site "A4"
+                    (Printf.sprintf
+                       "'%s' at a type the compiler cannot specialise calls \
+                        compare_val; annotate the operand type"
+                       (snd r))
+                    e.exp_loc;
+                  walk_args ()
+                end
+                else if Hashtbl.mem float_order_heads r then begin
+                  add_site "A4"
+                    (Printf.sprintf
+                       "'Float.%s' calls caml_signbit to order signed zeros; \
+                        on NaN-free operands write the comparison that \
+                        returns the same float"
+                       (snd r))
+                    e.exp_loc;
+                  walk_args ()
+                end
                 else if Hashtbl.mem iterator_tbl r then begin
                   charge_partial ();
                   List.iter
@@ -654,9 +793,13 @@ let walk_node ~idx ctx (n : node) =
           | G r ->
               if Hashtbl.mem nodes (K_global r) then add_edge (K_global r)
               else if
-                Hashtbl.mem nonalloc_tbl r
-                || Hashtbl.mem iterator_tbl r
-                || Hashtbl.mem polycmp_heads r
+                Hashtbl.mem float_order_heads r || Hashtbl.mem polycmp_heads r
+              then
+                add_site "A4"
+                  (Printf.sprintf
+                     "aliases '%s', a comparison-only C call" (gref_str r))
+                  n.n_loc
+              else if Hashtbl.mem nonalloc_tbl r || Hashtbl.mem iterator_tbl r
               then ()
               else
                 add_site "A1"
@@ -756,6 +899,7 @@ let arm (l : loaded) =
 
 let run ~report (prepared : (loaded * unit_ctx) list) =
   Hashtbl.reset nodes;
+  Hashtbl.reset type_decls;
   node_order := [];
   List.iteri (fun idx (l, ctx) -> register_unit ~idx ctx l) prepared;
   let by_unit = Array.of_list prepared in

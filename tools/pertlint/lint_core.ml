@@ -64,6 +64,8 @@ let alloc_rules =
       what = "boxed-float allocation on the zero-alloc hot path" };
     { id = "A3"; severity = Err;
       what = "per-iteration closure allocation in a loop on the hot path" };
+    { id = "A4"; severity = Err;
+      what = "comparison-only C call on the zero-alloc hot path" };
   ]
 
 let all_rules = lint_rules @ scan_rules @ alloc_rules

@@ -13,6 +13,9 @@
      A1  heap allocation reachable from an [@alloc.zero] root
      A2  boxed-float allocation on the zero-alloc hot path
      A3  per-iteration closure allocation in a loop on the hot path
+     A4  a C call that only compares numbers on the hot path: a
+         comparison at a type the compiler cannot specialise,
+         Stdlib.min/max, or the Float.min/max family
 
    Suppression: [@lint.allow "A1"] at the site (or on the enclosing
    binding), same syntax as every other rule; pertscan's S4 credits the
