@@ -335,7 +335,10 @@ let kernel_pert_ack =
 let kernel_red_enqueue =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
-  let q = Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100 in
+  let q =
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100)
+  in
   let a = Netsim.Packet.create_arena () in
   let i = ref 0 in
   fun () ->
@@ -483,7 +486,10 @@ let alloc_pert_ack () =
 let alloc_red_enqueue () =
   let rng = Sim_engine.Rng.create 3 in
   let params = Netsim.Red.auto_params ~capacity_pps:1000.0 ~limit_pkts:100 () in
-  let q = Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100 in
+  let q =
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng ~params ~capacity_pps:1000.0 ~limit_pkts:100)
+  in
   let a = Netsim.Packet.create_arena () in
   let n = 10_000 in
   let w0 = Gc.minor_words () in

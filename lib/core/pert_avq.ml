@@ -90,7 +90,6 @@ let on_ack t ~now ~rtt ~u:_ =
   else Hold
 
 let virtual_backlog t = t.v
-let srtt t = t.srtt
 let decrease_factor t = t.decrease_factor
 let early_responses t = t.early_responses
 let note_loss t ~now = t.last_response <- now

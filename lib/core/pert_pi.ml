@@ -14,7 +14,6 @@ type t = {
   mutable prev_err : float;
   mutable next_update : float;
   mutable last_response : float;
-  mutable early_responses : int;
 }
 
 let create ?(alpha = 0.99) ?(decrease_factor = 0.35) ~gains ~target_delay
@@ -35,7 +34,6 @@ let create ?(alpha = 0.99) ?(decrease_factor = 0.35) ~gains ~target_delay
     prev_err = 0.0;
     next_update = neg_infinity;
     last_response = neg_infinity;
-    early_responses = 0;
   }
 
 (* NaN-safe: a non-finite PI state must not escape as a probability. *)
@@ -59,13 +57,10 @@ let on_ack t ~now ~rtt ~u =
     && Units.Prob.sample (Units.Prob.v t.p) ~u
   then begin
     t.last_response <- now;
-    t.early_responses <- t.early_responses + 1;
     Early_response
   end
   else Hold
 
 let probability t = Units.Prob.v t.p
-let srtt t = t.srtt
 let decrease_factor t = t.decrease_factor
-let early_responses t = t.early_responses
 let note_loss t ~now = t.last_response <- now

@@ -33,13 +33,5 @@ val on_ack : t -> now:float -> rtt:Units.Time.t -> u:float -> decision
 val probability : t -> Units.Prob.t
 (** Current controller output, clamped to [\[0,1\]]. *)
 
-(* Kept despite no external caller: the four PERT-family engines
-   (Pert, Pert_pi, Pert_rem, Pert_avq) expose one uniform
-   introspection surface, reached through each scheme's [engine_of]
-   (see {!Cc.engine}); deleting per-engine members would make the
-   interfaces drift apart. *)
-val srtt : t -> Srtt.t [@@lint.allow "S3"]
-
 val decrease_factor : t -> float
-val early_responses : t -> int [@@lint.allow "S3"]
 val note_loss : t -> now:float -> unit

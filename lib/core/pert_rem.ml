@@ -81,7 +81,6 @@ let on_ack t ~now ~rtt ~u =
   end
   else Hold
 
-let srtt t = t.srtt
 let decrease_factor t = t.decrease_factor
 let early_responses t = t.early_responses
 let note_loss t ~now = t.last_response <- now

@@ -174,14 +174,11 @@ let[@lint.allow "A1"] grow_pool t =
    boundary — placement, scan and relink all ask this same function).
    Exact for slot numbers up to 2^53. *)
 let[@inline] slot_of t time =
-  Float.of_int (int_of_float (time *. invw t) [@lint.allow "N3"])
+  Float.of_int (Units.Round.trunc (time *. invw t))
 
-(* In-module truncation rather than Units.Round.trunc, so [slot] stays
-   unboxed in every build: under --profile dev every module is -opaque,
-   and the cross-library call would box [slot] on every add/pop. Slot
-   numbers are nonnegative and < 2^53, where truncation is exact. *)
+(* Slot numbers are nonnegative and < 2^53, where truncation is exact. *)
 let[@inline] bucket_of_slot t slot =
-  (int_of_float slot [@lint.allow "N3"]) land (t.nbuckets - 1)
+  Units.Round.trunc slot land (t.nbuckets - 1)
 
 (* Unchecked node-plane accessors for the hot paths below. Soundness of
    the elided bounds checks: every node index in play comes from the

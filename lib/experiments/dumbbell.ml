@@ -364,23 +364,6 @@ let install_ckpt_tick (ckpt : Runner.checkpoint) world =
   in
   Sim.after sim (Units.Time.s period) (ckpt_tick_ev ck)
 
-(* Post-restore repair of every extension-constructor value in the world
-   (they do not survive Marshal — see {!Schemes.rehydrate_disc}): the
-   queue discipline of every link, and every long-lived flow's
-   congestion-control engine. Web-session flows are reachable only
-   through node agents and their think timers, and are not walked:
-   their controllers keep working (the closures captured the engine
-   directly), only their [engine_of] introspection would fail, and
-   nothing introspects a web flow. *)
-let rehydrate_world world =
-  let built = world.w_built in
-  List.iter
-    (fun link -> Schemes.rehydrate_disc (Link.disc link))
-    (T.links built.topo);
-  List.iter
-    (fun flow -> Schemes.rehydrate_cc (Flow.cc flow))
-    (built.forward_flows @ built.reverse)
-
 (* The two run phases, from whatever point [world] has reached: finish
    the warmup (resetting statistics at its boundary exactly once), then
    the measured interval. A budget cut ({!Sim.Budget_exceeded}) raises
@@ -415,7 +398,6 @@ let run_world ?ckpt ?max_events ?max_wall config =
         | _sim, (world : world) ->
             (* The snapshot carries the armed budget and the pending
                checkpoint tick; re-arming either would double-charge. *)
-            rehydrate_world world;
             world
         | exception Sim.Snapshot.Incompatible _ ->
             (* Stale binary or torn file: recompute from scratch (the

@@ -61,12 +61,9 @@ val bottleneck_disc : t -> ctx -> Netsim.Queue_disc.t
 val cc_factory : t -> ctx -> unit -> Tcpstack.Cc.t
 (** Congestion controller for each flow under this scheme. *)
 
-val rehydrate_disc : Netsim.Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of a discipline's [internals]: dispatch
-    on its stable [name] to the concrete module's [rehydrate].
-    @raise Invalid_argument on an unknown discipline name. *)
-
-val rehydrate_cc : Tcpstack.Cc.t -> unit
-(** Post-{!Sim.Snapshot} repair of a controller's [engine]; newreno and
-    vegas reset to [No_engine].
-    @raise Invalid_argument on an unknown controller name. *)
+(* Kept with no caller that pertscan reads: the benchmark's snapshot
+   round trip (bench_e2e/e2e.ml, outside the scanned tree) still calls
+   both. A {!Sim.Snapshot} load restores every discipline and
+   controller ready to run, so both do nothing. *)
+val rehydrate_disc : Netsim.Queue_disc.t -> unit [@@lint.allow "S3"]
+val rehydrate_cc : Tcpstack.Cc.t -> unit [@@lint.allow "S3"]

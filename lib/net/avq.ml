@@ -18,10 +18,7 @@ type floats = {
 }
 
 type state = { p : params; capacity_pps : float; f : floats }
-
-(* Link the opaque Queue_disc.t back to AVQ internals for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Queue_disc.internals += Avq of state
+type t = { disc : Queue_disc.t; st : state }
 
 let create ~params ~capacity_pps ~limit_pkts =
   if limit_pkts <= 0 then invalid_arg "Avq.create: limit must be positive";
@@ -73,22 +70,16 @@ let create ~params ~capacity_pps ~limit_pkts =
     end
   in
   let[@alloc.zero] dequeue ~now:_ = Queue_disc.Fifo.pop_exn fifo in
-  {
-    Queue_disc.name = "avq";
-    enqueue;
-    dequeue;
-    fifo;
-    capacity_pkts = limit_pkts;
-    internals = Avq st;
-  }
+  let disc =
+    {
+      Queue_disc.name = "avq";
+      enqueue;
+      dequeue;
+      fifo;
+      capacity_pkts = limit_pkts;
+    }
+  in
+  { disc; st }
 
-let virtual_capacity disc =
-  match disc.Queue_disc.internals with
-  | Avq st -> st.f.c_tilde
-  | _ -> invalid_arg "Avq: not an AVQ discipline"
-
-(* Restore-time repair (see {!Queue_disc.rehydrate}); no-op for other
-   disciplines, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate disc =
-  if String.equal disc.Queue_disc.name "avq" then
-    Queue_disc.rehydrate disc ~mk:(fun st -> Avq st)
+let disc t = t.disc
+let virtual_capacity t = t.st.f.c_tilde

@@ -19,13 +19,13 @@ type params = {
 val default_params : unit -> params
 (** [gamma = 0.98], [alpha = 0.15], [virtual_buffer = 20]. *)
 
-val create :
-  params:params -> capacity_pps:float -> limit_pkts:int -> Queue_disc.t
+type t
+(** An AVQ queue: its discipline and its virtual-queue state. *)
 
-val virtual_capacity : Queue_disc.t -> float
-(** Current virtual capacity (pkts/s) of an AVQ discipline created by
-    {!create}; raises [Invalid_argument] otherwise. *)
+val create : params:params -> capacity_pps:float -> limit_pkts:int -> t
 
-val rehydrate : Queue_disc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [internals] (extension constructors
-    do not survive [Marshal]); no-op on other disciplines. *)
+val disc : t -> Queue_disc.t
+(** The discipline to install on a link. *)
+
+val virtual_capacity : t -> float
+(** Current virtual capacity, pkts/s. *)

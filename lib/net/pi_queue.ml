@@ -17,10 +17,7 @@ type floats = {
 }
 
 type state = { p : params; f : floats }
-
-(* Link the opaque Queue_disc.t back to PI internals for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Queue_disc.internals += Pi of state
+type t = { disc : Queue_disc.t; st : state }
 
 let clamp01 x = if x < 0.0 then 0.0 else if x > 1.0 then 1.0 else x
 
@@ -61,22 +58,16 @@ let create ~rng ~params ~limit_pkts =
     end
   in
   let[@alloc.zero] dequeue ~now:_ = Queue_disc.Fifo.pop_exn fifo in
-  {
-    Queue_disc.name = "pi";
-    enqueue;
-    dequeue;
-    fifo;
-    capacity_pkts = limit_pkts;
-    internals = Pi st;
-  }
+  let disc =
+    {
+      Queue_disc.name = "pi";
+      enqueue;
+      dequeue;
+      fifo;
+      capacity_pkts = limit_pkts;
+    }
+  in
+  { disc; st }
 
-let probability disc =
-  match disc.Queue_disc.internals with
-  | Pi st -> Units.Prob.v st.f.prob
-  | _ -> invalid_arg "Pi_queue: not a PI discipline"
-
-(* Restore-time repair (see {!Queue_disc.rehydrate}); no-op for other
-   disciplines, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate disc =
-  if String.equal disc.Queue_disc.name "pi" then
-    Queue_disc.rehydrate disc ~mk:(fun st -> Pi st)
+let disc t = t.disc
+let probability t = Units.Prob.v t.st.f.prob

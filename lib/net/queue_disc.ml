@@ -1,6 +1,4 @@
 type verdict = Accept | Accept_marked | Reject
-type internals = ..
-type internals += Opaque
 
 exception Empty
 
@@ -66,18 +64,7 @@ type t = {
   dequeue : now:float -> Packet.t;
   fifo : Fifo.q;
   capacity_pkts : int;
-  mutable internals : internals;
 }
 
 let[@inline] pkt_length d = Fifo.pkts d.fifo
 let[@inline] byte_length d = Fifo.bytes d.fifo
-
-(* Extension constructors do not survive Marshal: matching compares the
-   constructor slot physically, and unmarshalling copies it. [rehydrate]
-   rebuilds the [internals] value around the unmarshalled payload using
-   the live binary's constructor ([mk]), preserving the payload's
-   identity — the discipline's closures captured the same state record,
-   and that sharing must survive. Field 1 of the extension block is the
-   constructor's single argument (field 0 is the slot). *)
-let rehydrate d ~mk =
-  d.internals <- mk (Obj.obj (Obj.field (Obj.repr d.internals) 1))

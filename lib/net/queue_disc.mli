@@ -1,5 +1,5 @@
-(** Queue-discipline interface implemented by {!Droptail}, {!Red} and
-    {!Pi_queue}.
+(** Queue-discipline interface implemented by {!Droptail}, {!Red},
+    {!Pi_queue}, {!Rem} and {!Avq}.
 
     A discipline owns the buffered packet handles. [enqueue] decides the
     fate of an arriving packet; on [Accept] and [Accept_marked] the
@@ -11,19 +11,14 @@
     verdict can depend on — wire size and ECN capability — arrive as the
     [size] and [ecn] arguments (the {!Link} reads them out once per
     arrival), and byte accounting rides in the FIFO's parallel size
-    ring. *)
+    ring.
+
+    A discipline's control state (RED's average, PI's probability,
+    ...) is not in this record: it is read through the handle its
+    module's [create] returns ({!Red.t}, ...), which also yields this
+    record. *)
 
 type verdict = Accept | Accept_marked | Reject
-
-type internals = ..
-(** Discipline-private state, surfaced so a concrete module can recover
-    its own internals from the closure record for introspection
-    ([Red.avg_queue], [Rem.price], ...) without any global registry —
-    module-toplevel registries are a replay/determinism hazard (lint rule
-    D3). Each implementation extends this type with its own constructor
-    and matches on it in its accessors. *)
-
-type internals += Opaque  (** for disciplines with nothing to expose *)
 
 exception Empty
 (** Raised by [dequeue] (and {!Fifo.pop_exn}) on an empty queue. The
@@ -59,8 +54,6 @@ type t = {
       (** the buffered packets: every discipline keeps them in one FIFO,
           which is the single source of the queue's length *)
   capacity_pkts : int;  (** buffer limit in packets *)
-  mutable internals : internals;
-      (** see {!type-internals}; mutable only for {!rehydrate} *)
 }
 
 val pkt_length : t -> int
@@ -69,14 +62,3 @@ val pkt_length : t -> int
 
 val byte_length : t -> int
 (** Bytes currently buffered. *)
-
-val rehydrate : t -> mk:('st -> internals) -> unit
-(** Restore-time repair ({!Sim.Snapshot}): extension constructors do not
-    survive [Marshal] (matching compares the constructor slot
-    physically, and unmarshalling copies it), so after a snapshot load
-    each discipline module rebuilds [internals] with its own live
-    constructor around the unmarshalled payload. The payload object is
-    passed through untouched, keeping it physically shared with the
-    state the discipline's closures captured. Call only through the
-    concrete module's [rehydrate] (it knows [mk]'s payload type); never
-    on a discipline whose [internals] is a constant constructor. *)

@@ -37,11 +37,7 @@ type floats = {
 }
 
 type state = { mutable p : params; f : floats; mutable count : int }
-
-(* Link the opaque Queue_disc.t back to RED internals for introspection
-   (avg_queue, current_max_p) — no global registry: that would be
-   module-toplevel mutable state. *)
-type Queue_disc.internals += Red of state
+type t = { disc : Queue_disc.t; st : state }
 
 let adapt_interval = 0.5
 
@@ -156,25 +152,17 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     if Queue_disc.Fifo.pkts fifo = 0 then st.f.idle_start <- now;
     pkt
   in
-  {
-    Queue_disc.name = "red";
-    enqueue;
-    dequeue;
-    fifo;
-    capacity_pkts = limit_pkts;
-    internals = Red st;
-  }
+  let disc =
+    {
+      Queue_disc.name = "red";
+      enqueue;
+      dequeue;
+      fifo;
+      capacity_pkts = limit_pkts;
+    }
+  in
+  { disc; st }
 
-let state_of disc =
-  match disc.Queue_disc.internals with
-  | Red st -> st
-  | _ -> invalid_arg "Red: not a RED discipline"
-
-let avg_queue disc = (state_of disc).f.avg
-let current_max_p disc = (state_of disc).p.max_p
-
-(* Restore-time repair (see {!Queue_disc.rehydrate}); no-op for other
-   disciplines, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate disc =
-  if String.equal disc.Queue_disc.name "red" then
-    Queue_disc.rehydrate disc ~mk:(fun st -> Red st)
+let disc t = t.disc
+let avg_queue t = t.st.f.avg
+let current_max_p t = t.st.p.max_p

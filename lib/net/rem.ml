@@ -29,9 +29,7 @@ type state = {
   mutable arrivals_in_interval : int;
 }
 
-(* Link the opaque Queue_disc.t back to REM internals for introspection
-   (no global registry: that would be module-toplevel mutable state). *)
-type Queue_disc.internals += Rem of state
+type t = { disc : Queue_disc.t; st : state }
 
 let probability st = 1.0 -. (st.p.phi ** -.st.f.price)
 
@@ -83,25 +81,17 @@ let create ~rng ~params ~capacity_pps ~limit_pkts =
     end
   in
   let[@alloc.zero] dequeue ~now:_ = Queue_disc.Fifo.pop_exn fifo in
-  {
-    Queue_disc.name = "rem";
-    enqueue;
-    dequeue;
-    fifo;
-    capacity_pkts = limit_pkts;
-    internals = Rem st;
-  }
+  let disc =
+    {
+      Queue_disc.name = "rem";
+      enqueue;
+      dequeue;
+      fifo;
+      capacity_pkts = limit_pkts;
+    }
+  in
+  { disc; st }
 
-let state_of disc =
-  match disc.Queue_disc.internals with
-  | Rem st -> st
-  | _ -> invalid_arg "Rem: not a REM discipline"
-
-let price disc = (state_of disc).f.price
-let mark_probability disc = Units.Prob.v (probability (state_of disc))
-
-(* Restore-time repair (see {!Queue_disc.rehydrate}); no-op for other
-   disciplines, so a dispatcher may call every scheme's [rehydrate]. *)
-let rehydrate disc =
-  if String.equal disc.Queue_disc.name "rem" then
-    Queue_disc.rehydrate disc ~mk:(fun st -> Rem st)
+let disc t = t.disc
+let price t = t.st.f.price
+let mark_probability t = Units.Prob.v (probability t.st)

@@ -27,6 +27,10 @@ let persist_backoff_limit = 6
    cannot turn the validation itself into an amplifier. *)
 let challenge_min_gap = Units.Time.s 0.05
 
+(* Window decrease on an ECN echo: RFC 3168 halves the window, as for a
+   loss, whatever the controller. *)
+let ecn_beta = 0.5
+
 (* Pure ACKs (window updates, probe responses, challenge ACKs) echo no
    timestamp: NaN makes every RTT/OWD sample comparison fail, so they can
    never pollute the estimator. *)
@@ -572,7 +576,7 @@ let on_ack t ~ack ~sack ~ecn_echo ~ts_echo ~wnd_field ~ack_sent_at =
     && (not t.in_recovery)
     && now -. t.last_reduction >= srtt_estimate t
   then begin
-    apply_reduction t t.cc.Cc.ecn_beta ~now;
+    apply_reduction t ecn_beta ~now;
     t.cc.Cc.on_loss ~now
   end;
   (* Consult the early-response hook exactly once per ACK (it also feeds

@@ -59,9 +59,12 @@ val create :
 
 val id : t -> int
 
-(** The flow's congestion controller — restore-time rehydration
-    ({!Schemes.rehydrate_cc}) walks flows through this accessor. *)
-val cc : t -> Cc.t
+(* Kept with no caller that pertscan reads: the benchmark's snapshot
+   round trip (bench_e2e/e2e.ml, outside the scanned tree) passes each
+   flow's controller to {!Schemes.rehydrate_cc}. *)
+val cc : t -> Cc.t [@@lint.allow "S3"]
+(** The flow's congestion controller. *)
+
 val cwnd : t -> float
 val ssthresh : t -> float
 val snd_una : t -> int

@@ -12,15 +12,3 @@ val create :
   Cc.t
 (** [alpha] is the srtt history weight (default 0.99); [decrease_factor]
     the early multiplicative decrease (default 0.35). *)
-
-(* Kept with no current caller (pertscan S3): the {!Cc.engine}
-   introspection protocol every scheme implements in place of a
-   global registry (a D3 hazard). *)
-val engine_of : Cc.t -> Pert_core.Pert_red.t [@@lint.allow "S3"]
-(** The decision engine behind a controller returned by {!create}
-    (for inspection in tests/experiments); raises [Invalid_argument] for
-    other controllers. *)
-
-val rehydrate : Cc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [engine] (extension constructors do
-    not survive [Marshal]); no-op on other controllers. *)

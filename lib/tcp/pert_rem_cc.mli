@@ -9,14 +9,3 @@ val create :
   ?decrease_factor:float ->
   unit ->
   Cc.t
-
-(* Kept with no current caller (pertscan S3): the {!Cc.engine}
-   introspection protocol every scheme implements in place of a
-   global registry (a D3 hazard). *)
-val engine_of : Cc.t -> Pert_core.Pert_rem.t [@@lint.allow "S3"]
-(** The REM engine behind a controller returned by {!create}; raises
-    [Invalid_argument] for other controllers. *)
-
-val rehydrate : Cc.t -> unit
-(** Post-{!Sim.Snapshot} repair of [engine] (extension constructors do
-    not survive [Marshal]); no-op on other controllers. *)

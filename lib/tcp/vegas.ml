@@ -66,6 +66,4 @@ let create ?(alpha = 1.0) ?(beta = 3.0) ?(gamma = 1.0) () =
     on_ack;
     early = (fun _ ~rtt:_ ~now:_ -> Cc.No_response);
     on_loss = (fun ~now:_ -> ());
-    ecn_beta = 0.5;
-    engine = Cc.No_engine;
   }

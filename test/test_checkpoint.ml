@@ -9,11 +9,12 @@
    Scenario level, the cut-point invariance oracle: interrupt a real
    dumbbell run at a *random* event count (via the event budget, which
    raises before popping, so the simulation is consistent), snapshot it,
-   restore in-process, rehydrate, finish — the canonical rendering of
-   the result must be byte-identical to the uninterrupted run's, under
-   both schedulers, for a faults-style lossy PERT scenario, a fig6-style
-   PERT+ECN/RED one (which exercises both extension-constructor
-   rehydration paths) and a PERT mix with web sessions. *)
+   restore in-process and finish, with no repair step in between — the
+   canonical rendering of the result must be byte-identical to the
+   uninterrupted run's, under both schedulers, for a faults-style lossy
+   PERT scenario, a fig6-style PERT+ECN/RED one (a RED queue's state
+   and PERT's engine cross the snapshot) and a PERT mix with web
+   sessions. *)
 
 module Sim = Sim_engine.Sim
 module Event = Sim_engine.Event
@@ -163,18 +164,6 @@ let finish (w : phased) =
   Sim.run ~until:(Units.Time.s config.D.duration) sim;
   D.measure w.built
 
-(* Same rehydration walk as the production restore path
-   ([Dumbbell.run] via [Schemes.rehydrate_disc]/[rehydrate_cc]):
-   extension constructors do not survive Marshal, so every queue
-   discipline and congestion-control engine is re-tagged in place. *)
-let rehydrate (w : phased) =
-  List.iter
-    (fun l -> Schemes.rehydrate_disc (Netsim.Link.disc l))
-    (T.links w.built.D.topo);
-  List.iter
-    (fun f -> Schemes.rehydrate_cc (Tcpstack.Flow.cc f))
-    (w.built.D.forward_flows @ w.built.D.reverse)
-
 (* Canonical full-precision rendering: byte-equal iff results are equal. *)
 let render (r : D.result) =
   let b = Buffer.create 512 in
@@ -257,7 +246,6 @@ let cut_resume config ~cut =
       ignore (Sim.Snapshot.save sim ~world:w ~path);
       let sim2, (w2 : phased) = Sim.Snapshot.load ~path in
       cleanup path;
-      rehydrate w2;
       Sim.clear_budget sim2;
       render (finish w2)
 

@@ -24,12 +24,25 @@ let schemes_disc_kinds () =
   let ctx =
     { Schemes.sim; capacity_pps = 1000.0; limit_pkts = 100; rtt = 0.06; nflows = 8 }
   in
-  let dt = Schemes.bottleneck_disc Schemes.Pert ctx in
-  check_bool "pert gets droptail" true (dt.Netsim.Queue_disc.name = "droptail");
-  let red = Schemes.bottleneck_disc Schemes.Sack_red_ecn ctx in
-  check_bool "red disc introspectable" true (Netsim.Red.avg_queue red >= 0.0);
-  let pi = Schemes.bottleneck_disc (Schemes.Sack_pi_ecn { target_delay = Units.Time.s 0.003 }) ctx in
-  check_bool "pi disc introspectable" true (Units.Prob.to_float (Netsim.Pi_queue.probability pi) >= 0.0)
+  let target_delay = Units.Time.s 0.003 in
+  List.iter
+    (fun (scheme, kind) ->
+      Alcotest.(check string)
+        (Schemes.name scheme ^ " bottleneck") kind
+        (Schemes.bottleneck_disc scheme ctx).Netsim.Queue_disc.name)
+    [
+      (Schemes.Pert, "droptail");
+      (Schemes.Sack_droptail, "droptail");
+      (Schemes.Vegas, "droptail");
+      (Schemes.Pert_pi { target_delay }, "droptail");
+      (Schemes.Pert_rem, "droptail");
+      (Schemes.Pert_avq, "droptail");
+      (Schemes.Pert_ecn, "red");
+      (Schemes.Sack_red_ecn, "red");
+      (Schemes.Sack_pi_ecn { target_delay }, "pi");
+      (Schemes.Sack_rem_ecn, "rem");
+      (Schemes.Sack_avq_ecn, "avq");
+    ]
 
 (* [of_string] inverts [name] (Pert_tuned has no name of its own), and
    every alias lands on its scheme. *)

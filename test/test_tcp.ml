@@ -345,8 +345,9 @@ let ecn_halves_without_retransmit () =
         ecn = true;
       }
     in
-    Netsim.Red.create ~rng:(Rng.create 13) ~params ~capacity_pps:1201.0
-      ~limit_pkts:100
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng:(Rng.create 13) ~params ~capacity_pps:1201.0
+         ~limit_pkts:100)
   in
   let fx = fixture ~disc:mk_red () in
   let flow =
@@ -585,8 +586,9 @@ let non_ecn_flow_ignores_echo () =
       { Netsim.Red.wq = 0.02; min_th = 5.0; max_th = 15.0; max_p = Units.Prob.v 0.1;
         gentle = true; adaptive = false; ecn = true }
     in
-    Netsim.Red.create ~rng:(Rng.create 13) ~params ~capacity_pps:1201.0
-      ~limit_pkts:100
+    Netsim.Red.disc
+      (Netsim.Red.create ~rng:(Rng.create 13) ~params ~capacity_pps:1201.0
+         ~limit_pkts:100)
   in
   let fx = fixture ~disc:mk_red () in
   let flow =
